@@ -115,10 +115,9 @@ let run ?team bdd root mdd layout =
   let mapping = Array.make (max 2 (B.handle_bound bdd)) (-1) in
   mapping.(B.zero) <- Mdd.zero;
   mapping.(B.one) <- Mdd.one;
-  let simulate g entry value =
-    (* Follow the codeword of [value] through layer [g], skipping the bits
-       the BDD does not test. *)
-    let bits = layout.codeword g value in
+  let simulate g bits entry =
+    (* Follow the codeword [bits] through layer [g], skipping the bits the
+       BDD does not test. *)
     let rec follow n =
       if B.is_terminal n || group_of n <> g then n
       else
@@ -127,8 +126,8 @@ let run ?team bdd root mdd layout =
     in
     follow entry
   in
-  let child g entry value =
-    let target = simulate g entry value in
+  let child g bits entry =
+    let target = simulate g bits entry in
     let mnode = mapping.(target) in
     if mnode < 0 then
       (* Unreachable in a correct layout: targets are terminals or
@@ -146,7 +145,10 @@ let run ?team bdd root mdd layout =
         let n = Array.length ents in
         Obs.add entry_counter n;
         Obs.observe layer_hist (float_of_int n);
-        let domain = (Mdd.spec mdd g).domain in
+        (* The layer's codewords, built once: every entry simulates all of
+           them. *)
+        let codes = Array.init (Mdd.spec mdd g).domain (layout.codeword g) in
+        let kids_of entry = Array.map (fun bits -> child g bits entry) codes in
         match team with
         | Some team when n >= par_layer_threshold && Par.domains team > 1 ->
             Obs.incr obs_par_layers;
@@ -159,8 +161,7 @@ let run ?team bdd root mdd layout =
                     let i0 = ti * chunk in
                     let i1 = min n (i0 + chunk) in
                     for i = i0 to i1 - 1 do
-                      let entry = ents.(i) in
-                      kids.(i) <- Array.init domain (child g entry)
+                      kids.(i) <- kids_of ents.(i)
                     done)
             in
             Par.run team tasks;
@@ -169,9 +170,7 @@ let run ?team bdd root mdd layout =
             done
         | _ ->
             Array.iter
-              (fun entry ->
-                mapping.(entry) <-
-                  Mdd.mk mdd g (Array.init domain (child g entry)))
+              (fun entry -> mapping.(entry) <- Mdd.mk mdd g (kids_of entry))
               ents)
   done;
   mapping.(root)

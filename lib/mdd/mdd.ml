@@ -247,15 +247,53 @@ let eval t n assignment =
   in
   go n
 
-(* Nonterminal nodes of the cone of [n], bucketed by level. Every child sits
-   at a strictly greater level than its parent, so iterating buckets from the
-   deepest level upward is a bottom-up topological order — the iterative
-   replacement for the old recursive memoized descent. *)
+(* Node ids are dense below [t.used], so every walk below marks, values and
+   reaches nodes through flat arrays indexed by id, never a hash table. *)
+
+(* Postorder — children before their parent — with an explicit stack: every
+   child sits at a strictly greater level than its parent, so the DFS path
+   holds at most [num_mvars] nonterminals and two fixed int arrays (node,
+   next-child cursor) replace OCaml recursion. *)
+let iter_reachable t n f =
+  let seen = Bytes.make t.used '\000' in
+  let nodes = Array.make (num_mvars t) 0 in
+  let next = Array.make (num_mvars t) 0 in
+  let sp = ref 0 in
+  let visit n =
+    if Bytes.get seen n = '\000' then begin
+      Bytes.set seen n '\001';
+      if is_terminal n then f n
+      else begin
+        nodes.(!sp) <- n;
+        next.(!sp) <- 0;
+        incr sp
+      end
+    end
+  in
+  visit n;
+  while !sp > 0 do
+    let i = !sp - 1 in
+    let x = nodes.(i) in
+    let kids = t.kids.(x) in
+    let j = next.(i) in
+    if j < Array.length kids then begin
+      next.(i) <- j + 1;
+      visit kids.(j)
+    end
+    else begin
+      sp := i;
+      f x
+    end
+  done
+
+(* Nonterminal nodes of the cone of [n], bucketed by level. Iterating the
+   buckets from the deepest level upward is a bottom-up topological order,
+   and from level 0 downward a top-down one. *)
 let cone_by_level t n =
   let buckets = Array.make (num_mvars t) [] in
   if not (is_terminal n) then begin
-    let seen = Hashtbl.create 256 in
-    Hashtbl.add seen n ();
+    let seen = Bytes.make t.used '\000' in
+    Bytes.set seen n '\001';
     let stack = ref [ n ] in
     let rec drain () =
       match !stack with
@@ -266,8 +304,8 @@ let cone_by_level t n =
           buckets.(lv) <- x :: buckets.(lv);
           Array.iter
             (fun c ->
-              if (not (is_terminal c)) && not (Hashtbl.mem seen c) then begin
-                Hashtbl.add seen c ();
+              if (not (is_terminal c)) && Bytes.get seen c = '\000' then begin
+                Bytes.set seen c '\001';
                 stack := c :: !stack
               end)
             t.kids.(x);
@@ -277,33 +315,28 @@ let cone_by_level t n =
   end;
   buckets
 
+(* Per-call value table indexed by node id, terminals preset — nothing
+   persists on the manager, so repeated traversals with different
+   probabilities cannot grow its memory. *)
+let terminal_values t =
+  let value = Array.make t.used 0.0 in
+  value.(one) <- 1.0;
+  value
+
 let probability t n ~p =
-  if n = zero then 0.0
-  else if n = one then 1.0
-  else begin
-    let buckets = cone_by_level t n in
-    (* Per-call value table — nothing persists on the manager, so repeated
-       traversals with different probabilities cannot grow its memory. *)
-    let value = Hashtbl.create 256 in
-    let node_value x =
-      if x = zero then 0.0
-      else if x = one then 1.0
-      else Hashtbl.find value x
-    in
-    for lv = num_mvars t - 1 downto 0 do
-      List.iter
-        (fun x ->
-          let kids = t.kids.(x) in
-          let acc = ref 0.0 in
-          for j = 0 to Array.length kids - 1 do
-            let pj = p lv j in
-            if pj <> 0.0 then acc := !acc +. (pj *. node_value kids.(j))
-          done;
-          Hashtbl.replace value x !acc)
-        buckets.(lv)
-    done;
-    Hashtbl.find value n
-  end
+  let value = terminal_values t in
+  iter_reachable t n (fun x ->
+      if not (is_terminal x) then begin
+        let lv = t.levels.(x) in
+        let kids = t.kids.(x) in
+        let acc = ref 0.0 in
+        for j = 0 to Array.length kids - 1 do
+          let pj = p lv j in
+          if pj <> 0.0 then acc := !acc +. (pj *. value.(kids.(j)))
+        done;
+        value.(x) <- !acc
+      end);
+  value.(n)
 
 let sweep_counter = Obs.counter "mdd.sweep.runs"
 
@@ -327,12 +360,10 @@ let probability_sweep t n ~nk ~p =
               v);
       pv.(lv)
     in
-    let buckets = cone_by_level t n in
-    let value = Hashtbl.create 256 in
-    for lv = num_mvars t - 1 downto 0 do
-      let vecs = if buckets.(lv) = [] then [||] else pvec lv in
-      List.iter
-        (fun x ->
+    let value : float array array = Array.make t.used [||] in
+    iter_reachable t n (fun x ->
+        if not (is_terminal x) then begin
+          let vecs = pvec t.levels.(x) in
           let kids = t.kids.(x) in
           let acc = Array.make nk 0.0 in
           for j = 0 to Array.length kids - 1 do
@@ -344,98 +375,57 @@ let probability_sweep t n ~nk ~p =
                   acc.(k) <- acc.(k) +. pj.(k)
                 done
               else begin
-                let cv : float array = Hashtbl.find value c in
+                let cv = value.(c) in
                 for k = 0 to nk - 1 do
                   acc.(k) <- acc.(k) +. (pj.(k) *. cv.(k))
                 done
               end
             end
           done;
-          Hashtbl.replace value x acc)
-        buckets.(lv)
-    done;
-    Hashtbl.find value n
+          value.(x) <- acc
+        end);
+    value.(n)
   end
 
 let probability_with_sensitivities t n ~p =
   let nvars = num_mvars t in
   let buckets = cone_by_level t n in
   (* Upward sweep: value of every node in the cone, bottom level first. *)
-  let value = Hashtbl.create 256 in
-  let node_value x =
-    if x = zero then 0.0
-    else if x = one then 1.0
-    else Hashtbl.find value x
-  in
+  let value = terminal_values t in
   for lv = nvars - 1 downto 0 do
     List.iter
       (fun x ->
         let kids = t.kids.(x) in
         let acc = ref 0.0 in
         for j = 0 to Array.length kids - 1 do
-          acc := !acc +. (p lv j *. node_value kids.(j))
+          acc := !acc +. (p lv j *. value.(kids.(j)))
         done;
-        Hashtbl.replace value x !acc)
+        value.(x) <- !acc)
       buckets.(lv)
   done;
-  let total = node_value n in
   (* Downward sweep: reach probability of every node (sum over paths of the
-     product of edge probabilities), in topological (level) order. *)
-  let reach = Hashtbl.create 256 in
-  if not (is_terminal n) then Hashtbl.replace reach n 1.0;
+     product of edge probabilities), in topological (level) order. The
+     bucket order fixes each node's accumulation order. *)
+  let reach = Array.make t.used 0.0 in
+  if not (is_terminal n) then reach.(n) <- 1.0;
   let sens =
     Array.init nvars (fun v -> Array.make t.specs.(v).domain 0.0)
   in
   for lv = 0 to nvars - 1 do
     List.iter
       (fun x ->
-        let r = Option.value ~default:0.0 (Hashtbl.find_opt reach x) in
+        let r = reach.(x) in
         if r <> 0.0 then begin
           let kids = t.kids.(x) in
           for j = 0 to Array.length kids - 1 do
-            sens.(lv).(j) <- sens.(lv).(j) +. (r *. node_value kids.(j));
-            if not (is_terminal kids.(j)) then begin
-              let cur =
-                Option.value ~default:0.0 (Hashtbl.find_opt reach kids.(j))
-              in
-              Hashtbl.replace reach kids.(j) (cur +. (r *. p lv j))
-            end
+            let c = kids.(j) in
+            sens.(lv).(j) <- sens.(lv).(j) +. (r *. value.(c));
+            if not (is_terminal c) then reach.(c) <- reach.(c) +. (r *. p lv j)
           done
         end)
       buckets.(lv)
   done;
-  (total, sens)
-
-let iter_reachable t n f =
-  let seen = Hashtbl.create 256 in
-  (* Explicit stack of (node, next-child cursor); same postorder as the old
-     recursive walk — children before their parent — without consuming OCaml
-     stack proportional to the diagram depth. *)
-  let stack = ref [] in
-  let visit n =
-    if not (Hashtbl.mem seen n) then begin
-      Hashtbl.add seen n ();
-      if is_terminal n then f n else stack := (n, ref 0) :: !stack
-    end
-  in
-  visit n;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | (x, j) :: rest ->
-        let kids = t.kids.(x) in
-        if !j < Array.length kids then begin
-          let c = kids.(!j) in
-          incr j;
-          visit c
-        end
-        else begin
-          stack := rest;
-          f x
-        end;
-        drain ()
-  in
-  drain ()
+  (value.(n), sens)
 
 let size t n =
   let c = ref 0 in

@@ -68,7 +68,7 @@ val eval : t -> node -> (int -> int) -> bool
     value [j] with probability [p v j] — the paper's depth-first, left-most
     evaluation (Section 2, Fig. 2). Probabilities of each variable must sum
     to 1 over its domain for the result to be a probability. The traversal
-    is iterative (bottom-up over the cone in level order) and keeps its memo
+    is iterative (bottom-up over the cone in postorder) and keeps its memo
     on the call frame, so deep diagrams cannot overflow the stack and
     repeated calls cannot grow the manager. *)
 val probability : t -> node -> p:(int -> int -> float) -> float
@@ -99,6 +99,10 @@ val probability_with_sensitivities :
 
 (** Distinct nodes in the cone of [n], terminals included. *)
 val size : t -> node -> int
+
+(** [iter_reachable t n f] calls [f] once per distinct node in the cone of
+    [n], children before parents, terminals included. *)
+val iter_reachable : t -> node -> (node -> unit) -> unit
 
 (** Total nodes ever created in the manager (a memory/work measure). *)
 val total_nodes : t -> int

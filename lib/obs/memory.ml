@@ -15,10 +15,18 @@ type gc_delta = {
 
 type sample = Gc.stat
 
-let sample () = Gc.quick_stat ()
+(* On OCaml 5, [Gc.quick_stat] sums per-domain samples taken at minor
+   collections, so it misses whatever the calling domain allocated since its
+   last one (a large array goes straight to the major heap and may show up
+   only stages later). [Gc.counters] reads the calling domain's live
+   allocation counters, so the word counts come from there. *)
+let sample () =
+  let s = Gc.quick_stat () in
+  let minor_words, promoted_words, major_words = Gc.counters () in
+  { s with minor_words; promoted_words; major_words }
 
 let delta_since (s0 : sample) =
-  let s1 = Gc.quick_stat () in
+  let s1 = sample () in
   {
     minor_collections = s1.minor_collections - s0.minor_collections;
     major_collections = s1.major_collections - s0.major_collections;
@@ -54,26 +62,29 @@ let delta_to_json d =
       ("top_heap_words", Json.Int d.top_heap_words);
     ]
 
-let c_minor = lazy (Obs.counter "gc.minor_collections")
-let c_major = lazy (Obs.counter "gc.major_collections")
-let c_compactions = lazy (Obs.counter "gc.compactions")
-let c_minor_words = lazy (Obs.counter "gc.minor_words")
-let c_promoted_words = lazy (Obs.counter "gc.promoted_words")
-let g_heap = lazy (Obs.gauge "gc.heap_words")
-let g_top_heap = lazy (Obs.gauge "gc.top_heap_words")
+(* Registered at module initialisation, not lazily: [publish] runs on
+   several [Pool] domains at once, and forcing one [lazy] from two domains
+   raises [CamlinternalLazy.Undefined]. *)
+let c_minor = Obs.counter "gc.minor_collections"
+let c_major = Obs.counter "gc.major_collections"
+let c_compactions = Obs.counter "gc.compactions"
+let c_minor_words = Obs.counter "gc.minor_words"
+let c_promoted_words = Obs.counter "gc.promoted_words"
+let g_heap = Obs.gauge "gc.heap_words"
+let g_top_heap = Obs.gauge "gc.top_heap_words"
 
 let publish ?stage d =
   if Obs.enabled () then begin
-    Obs.add (Lazy.force c_minor) (max 0 d.minor_collections);
-    Obs.add (Lazy.force c_major) (max 0 d.major_collections);
-    Obs.add (Lazy.force c_compactions) (max 0 d.compactions);
-    Obs.add (Lazy.force c_minor_words) (max 0 (int_of_float d.minor_words));
-    Obs.add (Lazy.force c_promoted_words) (max 0 (int_of_float d.promoted_words));
+    Obs.add c_minor (max 0 d.minor_collections);
+    Obs.add c_major (max 0 d.major_collections);
+    Obs.add c_compactions (max 0 d.compactions);
+    Obs.add c_minor_words (max 0 (int_of_float d.minor_words));
+    Obs.add c_promoted_words (max 0 (int_of_float d.promoted_words));
     (* The gauges stay absolutes (current heap, process high-water mark):
        a fresh sample, since the delta no longer carries them. *)
     let s = Gc.quick_stat () in
-    Obs.set (Lazy.force g_heap) (float_of_int s.Gc.heap_words);
-    Obs.set (Lazy.force g_top_heap) (float_of_int s.Gc.top_heap_words);
+    Obs.set g_heap (float_of_int s.Gc.heap_words);
+    Obs.set g_top_heap (float_of_int s.Gc.top_heap_words);
     match stage with
     | None -> ()
     | Some stage ->

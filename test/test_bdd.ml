@@ -452,19 +452,22 @@ let test_compile_constant_output () =
   let root, _ = Compile.of_circuit m circuit ~var_of_input:Fun.id in
   Alcotest.(check int) "contradiction compiles to zero" M.zero root
 
+let circuit_of_rexpr e =
+  let b = C.builder ~num_inputs:nvars_prop () in
+  let rec build = function
+    | RVar i -> C.input b i
+    | RNot x -> C.not_ b (build x)
+    | RAnd (x, y) -> C.and_ b [ build x; build y ]
+    | ROr (x, y) -> C.or_ b [ build x; build y ]
+    | RXor (x, y) -> C.xor_ b [ build x; build y ]
+  in
+  C.finish b ~name:"prop" (build e)
+
 let prop_compile_matches_interpreter =
   QCheck.Test.make ~name:"compiled circuit equals interpreter" ~count:200
     (arb_rexpr nvars_prop)
     (fun e ->
-      let b = C.builder ~num_inputs:nvars_prop () in
-      let rec build = function
-        | RVar i -> C.input b i
-        | RNot x -> C.not_ b (build x)
-        | RAnd (x, y) -> C.and_ b [ build x; build y ]
-        | ROr (x, y) -> C.or_ b [ build x; build y ]
-        | RXor (x, y) -> C.xor_ b [ build x; build y ]
-      in
-      let circuit = C.finish b ~name:"prop" (build e) in
+      let circuit = circuit_of_rexpr e in
       let m = M.create ~num_vars:nvars_prop () in
       let root, _ = Compile.of_circuit m circuit ~var_of_input:Fun.id in
       List.for_all
@@ -472,6 +475,85 @@ let prop_compile_matches_interpreter =
           let env v = (mask lsr v) land 1 = 1 in
           rexpr_eval env e = M.eval m root env)
         (List.init (1 lsl nvars_prop) Fun.id))
+
+(* ------------------------------------------------------------------ *)
+(* Post-build walks against reference hash-table walks                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Plain recursive walks memoized in a [Hashtbl] over regular handles —
+   the shape the engine's array-indexed walks replaced. *)
+let reference_size m roots =
+  let seen = Hashtbl.create 64 in
+  let rec go h =
+    let r = M.regular h in
+    if not (Hashtbl.mem seen r) then begin
+      Hashtbl.add seen r ();
+      if not (M.is_terminal r) then begin
+        go (M.low m r);
+        go (M.high m r)
+      end
+    end
+  in
+  List.iter go roots;
+  Hashtbl.length seen
+
+let reference_probability m n ~p =
+  let memo = Hashtbl.create 64 in
+  let rec value h =
+    let r = M.regular h in
+    let v =
+      if M.is_terminal r then 1.0
+      else
+        match Hashtbl.find_opt memo r with
+        | Some v -> v
+        | None ->
+            let pv = p (M.var_of m r) in
+            let v = (pv *. value (M.high m r)) +. ((1.0 -. pv) *. value (M.low m r)) in
+            Hashtbl.add memo r v;
+            v
+    in
+    if M.is_complemented h then 1.0 -. v else v
+  in
+  value n
+
+(* Two random circuits compiled into one manager under a random variable
+   order: the walks must count, order and value exactly like the
+   references — probabilities bit for bit. *)
+let prop_walks_match_reference =
+  QCheck.Test.make ~name:"size, size_multi, iter_reachable, probability = reference"
+    ~count:300
+    QCheck.(
+      triple (arb_rexpr nvars_prop) (arb_rexpr nvars_prop)
+        (make ~print:Print.(list int) Gen.(shuffle_l (List.init nvars_prop Fun.id))))
+    (fun (e1, e2, order) ->
+      let perm = Array.of_list order in
+      let m = M.create ~num_vars:nvars_prop () in
+      let compile e =
+        fst (Compile.of_circuit m (circuit_of_rexpr e) ~var_of_input:(fun i -> perm.(i)))
+      in
+      let f = compile e1 in
+      let g = compile e2 in
+      let visited = Hashtbl.create 64 in
+      let children_first = ref true in
+      M.iter_reachable m f (fun x ->
+          if Hashtbl.mem visited x then children_first := false;
+          if not (M.is_terminal x) then
+            List.iter
+              (fun c ->
+                if not (Hashtbl.mem visited (M.regular c)) then children_first := false)
+              [ M.low m x; M.high m x ];
+          Hashtbl.add visited x ());
+      let p v = 0.1 +. (0.15 *. float_of_int v) in
+      !children_first
+      && Hashtbl.length visited = reference_size m [ f ]
+      && M.size m f = reference_size m [ f ]
+      && M.size m g = reference_size m [ g ]
+      && M.size_multi m [ f; g; M.not_ m f ] = reference_size m [ f; g ]
+      && M.size_multi m [] = 0
+      && Int64.bits_of_float (M.probability m f ~p)
+         = Int64.bits_of_float (reference_probability m f ~p)
+      && Int64.bits_of_float (M.probability m g ~p)
+         = Int64.bits_of_float (reference_probability m g ~p))
 
 (* ------------------------------------------------------------------ *)
 (* Minimal cut sets                                                    *)
@@ -588,6 +670,10 @@ let test_deep_chain_ops () =
       Alcotest.(check bool) "neg eval" false (M.eval m neg (fun _ -> true));
       (* ¬chain shares every physical node with chain under complement edges *)
       Alcotest.(check int) "neg size" (deep_n + 1) (M.size m neg);
+      Alcotest.(check int) "size_multi" (deep_n + 1) (M.size_multi m [ chain; neg ]);
+      let visits = ref 0 in
+      M.iter_reachable m neg (fun _ -> incr visits);
+      Alcotest.(check int) "iter_reachable" (deep_n + 1) !visits;
       (* probability: all-true assignment has mass 1 *)
       Alcotest.(check (float 1e-12)) "probability" 1.0
         (M.probability m chain ~p:(fun _ -> 1.0));
@@ -698,6 +784,7 @@ let () =
           Alcotest.test_case "constant output" `Quick test_compile_constant_output;
         ] );
       qsuite "compile-props" [ prop_compile_matches_interpreter ];
+      qsuite "walk-props" [ prop_walks_match_reference ];
       ( "cutsets",
         [
           Alcotest.test_case "basic" `Quick test_cutsets_basic;

@@ -294,11 +294,16 @@ let rec mexpr_eval env = function
   | MOr (a, b) -> mexpr_eval env a || mexpr_eval env b
   | MNot a -> not (mexpr_eval env a)
 
-let rec mexpr_mdd t = function
-  | MLit (v, j) -> Mdd.literal t v ~values:[ j ]
-  | MAnd (a, b) -> Mdd.apply_and t (mexpr_mdd t a) (mexpr_mdd t b)
-  | MOr (a, b) -> Mdd.apply_or t (mexpr_mdd t a) (mexpr_mdd t b)
-  | MNot a -> Mdd.not_ t (mexpr_mdd t a)
+(* [level_of.(v)] is the level variable [v] is tested at. *)
+let rec mexpr_mdd_at level_of t e =
+  let go = mexpr_mdd_at level_of t in
+  match e with
+  | MLit (v, j) -> Mdd.literal t level_of.(v) ~values:[ j ]
+  | MAnd (a, b) -> Mdd.apply_and t (go a) (go b)
+  | MOr (a, b) -> Mdd.apply_or t (go a) (go b)
+  | MNot a -> Mdd.not_ t (go a)
+
+let mexpr_mdd t e = mexpr_mdd_at [| 0; 1; 2 |] t e
 
 (* Coded ROBDD: variable v's value j is the minterm of its bits,
    msb-first, on levels level_base.(v) .. level_base.(v)+bits.(v)-1. *)
@@ -476,6 +481,88 @@ let prop_sweep_matches_per_scenario_probability =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Walks against reference hash-table walks                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Plain recursive walks memoized in a [Hashtbl] — the shape the engine's
+   id-indexed walks replaced. *)
+let reference_size t roots =
+  let seen = Hashtbl.create 64 in
+  let rec go n =
+    if not (Hashtbl.mem seen n) then begin
+      Hashtbl.add seen n ();
+      if not (Mdd.is_terminal n) then Array.iter go (Mdd.children t n)
+    end
+  in
+  List.iter go roots;
+  Hashtbl.length seen
+
+let reference_probability t n ~p =
+  let memo = Hashtbl.create 64 in
+  let rec value n =
+    if n = Mdd.zero then 0.0
+    else if n = Mdd.one then 1.0
+    else
+      match Hashtbl.find_opt memo n with
+      | Some v -> v
+      | None ->
+          let lv = Mdd.level t n in
+          let acc = ref 0.0 in
+          Array.iteri
+            (fun j c ->
+              let pj = p lv j in
+              if pj <> 0.0 then acc := !acc +. (pj *. value c))
+            (Mdd.children t n);
+          Hashtbl.add memo n !acc;
+          !acc
+  in
+  value n
+
+let bits_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* Two random expressions under a random variable order: size, postorder
+   and probability match the references (probability bit for bit), and a
+   second sweep repeats the first bit for bit. *)
+let prop_walks_match_reference =
+  QCheck.Test.make ~name:"size, iter_reachable, probability, sweep = reference"
+    ~count:300
+    QCheck.(
+      triple arb_mexpr arb_mexpr
+        (make ~print:Print.(list int) Gen.(shuffle_l [ 0; 1; 2 ])))
+    (fun (e1, e2, order) ->
+      let level_of = Array.of_list order in
+      let specs = Array.make 3 (spec "" 1) in
+      Array.iteri
+        (fun v lv -> specs.(lv) <- spec (Printf.sprintf "m%d" v) domains.(v))
+        level_of;
+      let t = Mdd.create specs in
+      let f = mexpr_mdd_at level_of t e1 in
+      let g = mexpr_mdd_at level_of t e2 in
+      let visited = Hashtbl.create 64 in
+      let children_first = ref true in
+      Mdd.iter_reachable t f (fun x ->
+          if Hashtbl.mem visited x then children_first := false;
+          if not (Mdd.is_terminal x) then
+            Array.iter
+              (fun c -> if not (Hashtbl.mem visited c) then children_first := false)
+              (Mdd.children t x);
+          Hashtbl.add visited x ());
+      let var_at = Array.make 3 0 in
+      Array.iteri (fun v lv -> var_at.(lv) <- v) level_of;
+      let pmfs = Array.init sweep_nk (fun k -> Array.init 3 (scenario_pmf k)) in
+      let p lv j = pmfs.(0).(var_at.(lv)).(j) in
+      let pk lv j = Array.init sweep_nk (fun k -> pmfs.(k).(var_at.(lv)).(j)) in
+      let once = Mdd.probability_sweep t f ~nk:sweep_nk ~p:pk in
+      let again = Mdd.probability_sweep t f ~nk:sweep_nk ~p:pk in
+      !children_first
+      && Hashtbl.length visited = reference_size t [ f ]
+      && Mdd.size t f = reference_size t [ f ]
+      && Mdd.size t g = reference_size t [ g ]
+      && bits_equal (Mdd.probability t f ~p) (reference_probability t f ~p)
+      && bits_equal (Mdd.probability t g ~p) (reference_probability t g ~p)
+      && Array.for_all2 bits_equal once again)
+
 let test_sweep_terminals_and_validation () =
   let t = Mdd.create specs_for_props in
   let p _ _ = [| 0.5; 0.5 |] in
@@ -547,7 +634,12 @@ let test_conversion_deep_scan () =
   in
   let root = Conversion.run bdd !chain mdd layout in
   Alcotest.(check int) "romdd size" (n + 2) (Mdd.size mdd root);
-  Alcotest.(check bool) "evaluates" true (Mdd.eval mdd root (fun _ -> 1))
+  Alcotest.(check bool) "evaluates" true (Mdd.eval mdd root (fun _ -> 1));
+  let swept =
+    Mdd.probability_sweep mdd root ~nk:2 ~p:(fun _ j ->
+        if j = 1 then [| 1.0; 0.5 |] else [| 0.0; 0.5 |])
+  in
+  Alcotest.(check (array (float 0.0))) "sweep" [| 1.0; 0.0 |] swept
 
 let test_apply_cache_bounded () =
   (* A small direct-mapped cache (2^6 slots) plus many repeated APPLY and
@@ -624,6 +716,7 @@ let () =
             test_sweep_terminals_and_validation;
         ] );
       qsuite "sweep-props" [ prop_sweep_matches_per_scenario_probability ];
+      qsuite "walk-props" [ prop_walks_match_reference ];
       ( "deep-diagrams",
         [
           Alcotest.test_case "200k-deep MDD chain" `Quick test_deep_mdd_chain;

@@ -283,6 +283,28 @@ let test_gc_delta_sees_allocation () =
   Alcotest.(check bool) "allocation visible in the delta" true
     (d.Memory.minor_words +. d.Memory.major_words > 0.0)
 
+(* [Memory.publish] runs on every [Pool] domain that finishes a stage. Four
+   domains start together behind a barrier and publish concurrently; it
+   must never raise (forcing a shared [lazy] from two domains raises
+   [CamlinternalLazy.Undefined]), and every delta must land. *)
+let test_concurrent_publish () =
+  let domains = 4 and rounds = 1_000 in
+  let ready = Atomic.make 0 in
+  let d = { (snd (Memory.with_gc_delta ignore)) with Memory.minor_collections = 1 } in
+  let before = Obs.counter_value (Obs.counter "gc.minor_collections") in
+  List.init domains (fun _ ->
+      Domain.spawn (fun () ->
+          Atomic.incr ready;
+          while Atomic.get ready < domains do
+            Domain.cpu_relax ()
+          done;
+          for _ = 1 to rounds do
+            Memory.publish ~stage:"concurrent" d
+          done))
+  |> List.iter Domain.join;
+  Alcotest.(check int) "every publish counted" (domains * rounds)
+    (Obs.counter_value (Obs.counter "gc.minor_collections") - before)
+
 (* ------------------------------------------------------------------ *)
 (* Disabled mode and clear                                             *)
 (* ------------------------------------------------------------------ *)
@@ -319,6 +341,9 @@ let () =
   in
   Alcotest.run "socy_trace"
     [
+      (* First, so the domains race on the very first publish. *)
+      ( "memory",
+        [ Alcotest.test_case "concurrent publish" `Quick (on test_concurrent_publish) ] );
       ( "pool",
         [
           Alcotest.test_case "two-domain trace" `Quick (on test_pool_two_domain_trace);
