@@ -14,8 +14,8 @@
    default skips heavy rows (--full forces them). *)
 
 module C = Socy_logic.Circuit
-module P = Socy_batch.Pipeline
-module Pool = Socy_batch.Pool
+module P = Socy_core.Pipeline
+module Pool = Socy_core.Pool
 module S = Socy_benchmarks.Suite
 module D = Socy_defects.Distribution
 module Scheme = Socy_order.Scheme

@@ -5,18 +5,20 @@
      eval      evaluate the yield of a fault tree or built-in benchmark
      sweep     evaluate a grid of runs in parallel across domains
      campaign  run named grids into a stored artifact history; trend reports
+     tune      tournament orderings per family into an ordering registry
      serve     long-running yield daemon over a Unix-domain socket
-     query   client for a running serve daemon
-     top     live console view of a running serve daemon
-     report  pretty-print or diff metrics/trace JSON files
-     mc      Monte Carlo baseline estimate
-     orders  compare variable orderings on one instance
-     list    list the built-in benchmark instances
-     dot     export the fault tree or the ROMDD as Graphviz *)
+     query     client for a running serve daemon
+     top       live console view of a running serve daemon
+     report    pretty-print or diff metrics/trace JSON files
+     mc        Monte Carlo baseline estimate
+     orders    compare variable orderings on one instance
+     list      list the built-in benchmark instances
+     dot       export the fault tree or the ROMDD as Graphviz
+     cutsets   minimal cut sets of a coherent fault tree *)
 
 module C = Socy_logic.Circuit
-module P = Socy_batch.Pipeline
-module Pool = Socy_batch.Pool
+module P = Socy_core.Pipeline
+module Pool = Socy_core.Pool
 module S = Socy_benchmarks.Suite
 module Scheme = Socy_order.Scheme
 module H = Socy_order.Heuristics
@@ -212,7 +214,7 @@ let eval_cmd =
 (* ------------------------------------------------------------------ *)
 
 (* One job per point of the (source × lambda × epsilon × mv-order) grid,
-   evaluated by the Socy_batch domain pool. Results land in submission
+   evaluated by the Socy_core.Pool domain pool. Results land in submission
    order whatever the completion order was, so parallel output is stable
    and --check-sequential can diff against a ~domains:1 rerun. *)
 

@@ -1,9 +1,9 @@
-(** Small persistent domain team for intra-problem parallelism.
+(** The team an intra-problem parallel build runs on.
 
-    [run team tasks] executes every task exactly once, distributing them
-    over the team's domains (the calling domain participates) via a
-    claim-counter queue, and returns when all are done. The first task
-    exception is re-raised in the caller after the job drains. *)
+    [run team tasks] executes every task exactly once and returns when all
+    are done; the first task exception is re-raised in the caller after
+    the job drains. The team owns no domains: it wraps a runner, in
+    practice [Socy_core.Pool.Executor.parallel_tasks]. *)
 
 type t
 
@@ -11,27 +11,11 @@ type runner = (unit -> unit) array -> unit
 (** External work-distribution hook: must run every thunk to completion
     before returning (the caller may participate). *)
 
-val spawn : domains:int -> t
-(** A team of [domains] total participants: [domains - 1] worker domains
-    are spawned and parked; the caller of {!run} is the last one.
-    [domains = 1] spawns nothing and {!run} degenerates to a loop. *)
-
 val of_runner : domains:int -> runner -> t
-(** A team backed by an external runner (e.g. [Pool.Executor] workers in
-    [socyield serve]); spawns no domains, {!shutdown} is a no-op.
-    [domains] is advisory — it sizes work splitting, not the runner. *)
+(** A team of [domains] participants backed by [runner]. [domains] sizes
+    work splitting; the runner decides how many domains actually run.
+    Raises [Invalid_argument] if [domains < 1]. *)
 
 val domains : t -> int
 
 val run : t -> (unit -> unit) array -> unit
-(** Not reentrant: tasks must not call {!run} on their own team. *)
-
-val stolen : t -> int
-(** Cumulative tasks executed by non-caller workers (own teams only). *)
-
-val publish_obs : t -> unit
-(** Push [apply.steal.tasks] / [apply.steal.runs] into [Socy_obs].
-    Publish once per team (counters are cumulative, not deltas). *)
-
-val shutdown : t -> unit
-(** Join the spawned domains. Idempotent; no-op for runner teams. *)

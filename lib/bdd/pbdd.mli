@@ -33,7 +33,6 @@ val create :
     scaled down by the team size so total cache memory stays level. *)
 
 val store : t -> Store.t
-val team : t -> Par.t
 
 val var : t -> int -> node
 val not_ : t -> node -> node
@@ -56,5 +55,5 @@ val cache_misses : t -> int
 val fast_hits : t -> int
 
 val publish_obs : t -> unit
-(** Publish store shard counters, team steal counters and the aggregated
-    per-domain cache counters. Once per build. *)
+(** Publish store shard counters and the aggregated per-domain cache
+    counters. Once per build. *)

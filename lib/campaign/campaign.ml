@@ -1,7 +1,7 @@
 module Json = Socy_obs.Json
 module Obs = Socy_obs.Obs
 module Bench = Socy_obs.Doc.Bench
-module P = Socy_batch.Pipeline
+module P = Socy_core.Pipeline
 module Scheme = Socy_order.Scheme
 module S = Socy_benchmarks.Suite
 module D = Socy_defects.Distribution
@@ -144,7 +144,7 @@ let run ?domains ?wall_budget ?progress ?(now = Unix.gettimeofday ()) grid =
       let domains =
         match domains with
         | Some d -> d
-        | None -> Socy_batch.Pool.default_domains ()
+        | None -> Socy_core.Pool.default_domains ()
       in
       let t0 = Unix.gettimeofday () in
       let results = P.run_batch ~domains ?wall_budget ?progress jobs in

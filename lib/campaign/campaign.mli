@@ -3,7 +3,7 @@
     A campaign is ROADMAP item 5's answer to "run the same grid every
     week and tell me what moved": a {!grid} names a cartesian product of
     benchmarks × λ × ε × orderings evaluated through
-    {!Socy_batch.Pipeline.run_batch}, {!run} executes it (budget
+    {!Socy_core.Pipeline.run_batch}, {!run} executes it (budget
     failures land as typed rows, not exceptions), {!save}/{!load} round
     it through the {!Store} as a versioned [socyield-campaign/1]
     document, {!diff} compares any two runs through the shared
@@ -83,8 +83,8 @@ val run :
   grid ->
   (t, string) result
 (** Evaluate the grid. [domains] defaults to
-    {!Socy_batch.Pool.default_domains}; [progress] is forwarded to
-    {!Socy_batch.Pipeline.run_batch} (called on worker domains). Only
+    {!Socy_core.Pool.default_domains}; [progress] is forwarded to
+    {!Socy_core.Pipeline.run_batch} (called on worker domains). Only
     grid validation fails; per-point budget exhaustion becomes a failed
     {!row}. *)
 

@@ -230,20 +230,25 @@ module Artifacts = struct
       Log.info "pipeline.par_fallback"
         ~fields:[ ("par_domains", Json.Int config.par_domains) ]
         "reorder wins over par-domains: building with the sequential engine";
-    let team =
-      if not use_par then None
+    (* Without a caller-supplied runner the team runs on a transient
+       executor of [par_domains - 1] domains; the building domain is the
+       last participant. *)
+    let executor, team =
+      let domains = config.par_domains in
+      if not use_par then (None, None)
       else
-        Some
-          (match config.par_runner with
-          | Some call -> Par.of_runner ~domains:config.par_domains call
-          | None -> Par.spawn ~domains:config.par_domains)
+        match config.par_runner with
+        | Some call -> (None, Some (Par.of_runner ~domains call))
+        | None ->
+            let ex = Pool.Executor.create ~domains:(domains - 1) () in
+            (Some ex, Some (Par.of_runner ~domains (Pool.Executor.parallel_tasks ex)))
     in
     (* On a parallel budget trip the sequential manager is still empty;
        the concurrent store's creation count is the honest peak figure. *)
     let par_peak = ref 0 in
-    (* A spawned team parks domains; join them on every exit path. *)
+    (* The transient executor parks domains; join them on every exit path. *)
     Fun.protect
-      ~finally:(fun () -> Option.iter Par.shutdown team)
+      ~finally:(fun () -> Option.iter Pool.Executor.shutdown executor)
       (fun () ->
         match
           staged stages "robdd-build" (fun () ->
@@ -482,3 +487,61 @@ let run ?(config = default_config) fault_tree model =
         stage_gc = ("lethal-map", lethal_gc) :: r.stage_gc;
       })
     (run_lethal ~config fault_tree lethal)
+
+type job = {
+  label : string;
+  circuit : C.t;
+  lethal : Model.lethal;
+  config : config;
+}
+
+let job ?(config = default_config) ?(label = "") circuit lethal =
+  { label; circuit; lethal; config }
+
+let job_of_model ?config ?label circuit model =
+  job ?config ?label circuit (Model.to_lethal model)
+
+(* Result-aware outcome counters: at the pool level a budget blow-up is a
+   normally-returned [Error], so the ok/failed split is made here. *)
+let ok_counter = Obs.counter "batch.jobs_ok"
+let failed_counter = Obs.counter "batch.jobs_failed"
+let cancelled_counter = Obs.counter "batch.jobs_cancelled"
+
+let run_batch ?domains ?wall_budget ?progress jobs =
+  let arr = Array.of_list jobs in
+  (* Progress is driven from the pool's [on_done] hook: a lock-free
+     completion count bumped on the worker domain, handed to the caller's
+     callback together with the finished job's label. *)
+  let on_done =
+    match progress with
+    | None -> None
+    | Some report ->
+        let total = Array.length arr in
+        let completed = Atomic.make 0 in
+        Some
+          (fun i _outcome ->
+            let completed = 1 + Atomic.fetch_and_add completed 1 in
+            report ~completed ~total ~label:arr.(i).label)
+  in
+  let outcomes =
+    Trace.with_span "batch" (fun () ->
+        Pool.parallel_map ?domains ?wall_budget ?on_done
+          (fun j -> run_lethal ~config:j.config j.circuit j.lethal)
+          arr)
+  in
+  Array.to_list
+    (Array.map
+       (function
+         | Pool.Done (Ok _ as r) ->
+             Obs.incr ok_counter;
+             r
+         | Pool.Done (Error _ as r) ->
+             Obs.incr failed_counter;
+             r
+         | Pool.Cancelled ->
+             Obs.incr cancelled_counter;
+             Error Batch_cancelled
+         (* Budget blow-ups are already Results; anything else escaping a
+            pipeline run is a bug worth a real backtrace. *)
+         | Pool.Failed e -> raise e)
+       outcomes)

@@ -59,10 +59,11 @@ type config = {
           concurrent store are mutually exclusive, and reorder wins. *)
   par_runner : Socy_bdd.Par.runner option;
       (** external work-distribution hook for the parallel build; when set
-          (e.g. by [socyield serve], which re-uses its batch
-          [Pool.Executor] domains), no second domain team is spawned.
-          [None] (default): [par_domains > 1] spawns its own short-lived
-          team for the run. *)
+          (e.g. by [socyield serve], which re-uses its {!Pool.Executor}
+          domains), the build spawns no domain of its own. [None]
+          (default): [par_domains > 1] runs on a transient
+          {!Pool.Executor} of [par_domains - 1] domains, shut down when
+          the build returns or raises. *)
 }
 
 val default_config : config
@@ -153,7 +154,7 @@ type report = {
 }
 
 (** Why a run produced no report. One type shared by {!run}, {!run_lethal}
-    and [Socy_batch.Pipeline.run_batch], so consumers match on the
+    and {!run_batch}, so consumers match on the
     constructor instead of sniffing a stage string:
 
     - [Node_budget]: a node creation would have pushed the live-node count
@@ -271,3 +272,88 @@ module Artifacts : sig
       models sharing the victim distribution. *)
   val conditional_yields : t -> float array
 end
+
+(** {1 Batches}
+
+    {!run_batch} is the multicore entry point for evaluating many
+    independent [(circuit, model, config)] jobs at once:
+
+    {[
+      module P = Socy_core.Pipeline
+
+      let reports =
+        P.run_batch ~domains:4
+          [ P.job ~label:"MS2" ms2 lethal_ms2;
+            P.job ~label:"ESEN4x1" esen lethal_esen ]
+    ]}
+
+    Ownership model: a job shares {e nothing} mutable with its siblings.
+    Each pipeline run builds its own {!Socy_bdd.Manager} and
+    {!Socy_mdd.Mdd} inside {!Artifacts.build}, so the worker domains never
+    touch a common decision diagram, unique table or cache — the only
+    cross-domain state is the thread-safe {!Socy_obs} registry the engines
+    publish into. That is what makes the paper-style sweeps embarrassingly
+    parallel. *)
+
+(** One batch job: an independent pipeline run. The [label] is carried for
+    consumers that render results (it does not influence evaluation). *)
+type job = {
+  label : string;
+  circuit : Socy_logic.Circuit.t;
+  lethal : Socy_defects.Model.lethal;
+  config : config;
+}
+
+(** [job circuit lethal] with [?config] defaulting to {!Config.default}
+    and an empty label. *)
+val job :
+  ?config:config ->
+  ?label:string ->
+  Socy_logic.Circuit.t ->
+  Socy_defects.Model.lethal ->
+  job
+
+(** Like {!job}, mapping the full defect model to its lethal form first
+    (Eq. (1)) — the mapping is cheap and done on the submitting domain. *)
+val job_of_model :
+  ?config:config ->
+  ?label:string ->
+  Socy_logic.Circuit.t ->
+  Socy_defects.Model.t ->
+  job
+
+(** [run_batch jobs] evaluates every job and returns the per-job results
+    {e in submission order}, whatever the completion order was — so
+    [List.combine jobs (run_batch jobs)] always lines up, and
+    [run_batch ~domains:1 jobs] (a plain sequential loop) returns a
+    bit-identical list.
+
+    [domains] defaults to [Domain.recommended_domain_count ()]. Each
+    worker evaluates one job at a time with exclusive ownership of that
+    job's DD state. A job that exhausts its node or CPU budget lands as
+    [Error (Node_budget _ | Cpu_budget _)] and the batch continues; when
+    the optional [wall_budget] (seconds of wall clock for the whole batch)
+    expires, jobs not yet started land as [Error Batch_cancelled] while
+    already-running jobs finish normally. Any other exception escaping a
+    job is re-raised on the submitting domain after all workers joined.
+
+    [progress ~completed ~total ~label] is called after each job settles
+    ([label] is that job's label, [completed] the number settled so far) —
+    {e on the worker domain that ran the job}, concurrently with other
+    workers; keep it fast and thread-safe (the CLI prints one status line
+    under a mutex). Omitted = no callback, zero overhead.
+
+    Observability: workers run under [batch.worker-k] spans, the engines'
+    counters from all domains merge into the process-wide registry as
+    usual, and the batch publishes [batch.jobs]/[batch.jobs_ok]/
+    [batch.jobs_failed]/[batch.jobs_cancelled] counters plus the
+    [batch.domains] and [batch.speedup] (Σ per-job busy seconds / batch
+    wall seconds) gauges. With {!Socy_obs.Obs.enabled} set, the whole batch
+    is additionally recorded on the {!Socy_obs.Trace} timeline — one row
+    per domain with worker and job spans (see {!Pool.parallel_map}). *)
+val run_batch :
+  ?domains:int ->
+  ?wall_budget:float ->
+  ?progress:(completed:int -> total:int -> label:string -> unit) ->
+  job list ->
+  (report, failure) result list

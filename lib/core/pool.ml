@@ -7,51 +7,22 @@ type 'a outcome = Done of 'a | Failed of exn | Cancelled
 
 let default_domains () = Domain.recommended_domain_count ()
 
-(* Chunked work queue: the submitting domain produces [lo, hi) index
-   ranges, workers consume them. The condition variable wakes workers that
-   outran the producer; [close] broadcasts so everyone drains and exits. *)
-type queue = {
-  mutex : Mutex.t;
-  nonempty : Condition.t;
-  chunks : (int * int) Queue.t;
-  mutable closed : bool;
-}
-
-let queue_create () =
-  {
-    mutex = Mutex.create ();
-    nonempty = Condition.create ();
-    chunks = Queue.create ();
-    closed = false;
-  }
-
-let enqueue q chunk =
-  Mutex.lock q.mutex;
-  Queue.push chunk q.chunks;
-  Condition.signal q.nonempty;
-  Mutex.unlock q.mutex
-
-let close q =
-  Mutex.lock q.mutex;
-  q.closed <- true;
-  Condition.broadcast q.nonempty;
-  Mutex.unlock q.mutex
-
-let pop q =
-  Mutex.lock q.mutex;
-  let rec take () =
-    match Queue.take_opt q.chunks with
-    | Some chunk -> Some chunk
-    | None ->
-        if q.closed then None
-        else begin
-          Condition.wait q.nonempty q.mutex;
-          take ()
-        end
+(* The one work-distribution loop: every participant claims the next
+   unclaimed index with a fetch-and-add until [n] is reached, so load
+   balances at job granularity without a queue. Returns how many indices
+   this participant ran. *)
+let claim next n f =
+  let did = ref 0 in
+  let rec loop () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      f i;
+      incr did;
+      loop ()
+    end
   in
-  let r = take () in
-  Mutex.unlock q.mutex;
-  r
+  loop ();
+  !did
 
 (* ------------------------------------------------------------------ *)
 (* Persistent executor                                                 *)
@@ -63,7 +34,7 @@ module Executor = struct
     nonempty : Condition.t;
     tasks : (unit -> unit) Queue.t;
     mutable closed : bool;
-    mutable live : int;  (* submitted, not yet completed *)
+    mutable live : int;  (* submitted through [run], not yet completed *)
     mutable workers : unit Domain.t array;
     n_domains : int;
   }
@@ -118,11 +89,26 @@ module Executor = struct
     t
 
   let domains t = t.n_domains
+
   let in_flight t =
     Mutex.lock t.mutex;
     let n = t.live in
     Mutex.unlock t.mutex;
     n
+
+  (* Enqueue a thunk that must not raise. Only [run] submissions are
+     [counted] into [live]: a [parallel_tasks] helper is part of its
+     caller's work, not a request of its own. *)
+  let push t ~counted task =
+    Mutex.lock t.mutex;
+    if t.closed then begin
+      Mutex.unlock t.mutex;
+      invalid_arg "Executor.run: executor is shut down"
+    end;
+    if counted then t.live <- t.live + 1;
+    Queue.push task t.tasks;
+    Condition.signal t.nonempty;
+    Mutex.unlock t.mutex
 
   let run t f =
     (* Each submission carries its own result cell; the worker fills it
@@ -145,15 +131,7 @@ module Executor = struct
       Condition.signal cell_done;
       Mutex.unlock cell_mutex
     in
-    Mutex.lock t.mutex;
-    if t.closed then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Executor.run: executor is shut down"
-    end;
-    t.live <- t.live + 1;
-    Queue.push task t.tasks;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.mutex;
+    push t ~counted:true task;
     Obs.incr tasks_counter;
     Mutex.lock cell_mutex;
     while Option.is_none !result do
@@ -165,74 +143,51 @@ module Executor = struct
     | Some (Error e) -> raise e
     | None -> assert false
 
-  let run_detached t f =
-    let ctx = Ctx.get () in
-    Mutex.lock t.mutex;
-    if t.closed then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Executor.run_detached: executor is shut down"
-    end;
-    t.live <- t.live + 1;
-    (* No caller waits on a detached thunk, so an exception has nowhere
-       to surface; swallow it rather than kill the worker domain. *)
-    Queue.push
-      (fun () ->
-        (try Ctx.with_restored ctx f with _ -> ());
-        Mutex.lock t.mutex;
-        t.live <- t.live - 1;
-        Mutex.unlock t.mutex)
-      t.tasks;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.mutex;
-    Obs.incr tasks_counter
-
   let parallel_tasks t tasks =
     let n = Array.length tasks in
     if n > 0 then begin
       (* Shared claim counter + caller participation: the caller drains
          the counter itself, so every task completes even when all worker
-         domains are busy with other submissions — the detached helper
-         drainers then find the counter spent and no-op. This is what lets
-         [socyield serve] point {!Socy_bdd.Par.of_runner} at the batch
-         executor without risking a saturation deadlock. *)
+         domains are busy with other submissions — the helper drainers
+         then find the counter spent and no-op. This is what lets
+         [socyield serve] run intra-problem teams on its request executor
+         without risking a saturation deadlock. *)
       let next = Atomic.make 0 in
       let cell_mutex = Mutex.create () in
       let cell_done = Condition.create () in
       let completed = ref 0 in
       let failure = ref None in
-      (* Helper drainers run on worker domains; re-install the caller's
-         request context around the whole drain so intra-problem spans
-         (parallel APPLY, layer conversion) carry the request id. *)
-      let ctx = Ctx.get () in
       let drain () =
-        Ctx.with_restored ctx @@ fun () ->
-        let did = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue := false
-          else begin
-            (try tasks.(i) ()
-             with e ->
-               Mutex.lock cell_mutex;
-               if !failure = None then failure := Some e;
-               Mutex.unlock cell_mutex);
-            incr did
-          end
-        done;
-        if !did > 0 then begin
+        let did =
+          claim next n (fun i ->
+              (* First task exception wins; the peers keep draining. *)
+              try tasks.(i) ()
+              with e ->
+                Mutex.lock cell_mutex;
+                if !failure = None then failure := Some e;
+                Mutex.unlock cell_mutex)
+        in
+        if did > 0 then begin
           Mutex.lock cell_mutex;
-          completed := !completed + !did;
+          completed := !completed + did;
           if !completed = n then Condition.broadcast cell_done;
           Mutex.unlock cell_mutex
         end
       in
-      let helpers = min t.n_domains (n - 1) in
+      (* Helper drainers run on worker domains, which carry no request
+         context between jobs; re-install the caller's around the whole
+         drain so intra-problem spans (parallel APPLY, layer conversion)
+         carry the request id. Requestless runs (the CLI) skip the wrap. *)
+      let helper =
+        match Ctx.get () with
+        | None -> drain
+        | ctx -> fun () -> Ctx.with_restored ctx drain
+      in
       (* A concurrent shutdown between submissions is not an error for the
          caller: it drains everything itself either way. *)
       (try
-         for _ = 1 to helpers do
-           run_detached t drain
+         for _ = 1 to min t.n_domains (n - 1) do
+           push t ~counted:false helper
          done
        with Invalid_argument _ -> ());
       drain ();
@@ -253,11 +208,15 @@ module Executor = struct
     if first then Array.iter Domain.join t.workers
 end
 
+(* ------------------------------------------------------------------ *)
+(* One-shot batches                                                    *)
+(* ------------------------------------------------------------------ *)
+
 let jobs_counter = Obs.counter "batch.jobs"
 let domains_gauge = Obs.gauge "batch.domains"
 let speedup_gauge = Obs.gauge "batch.speedup"
 
-let parallel_map ?domains ?wall_budget ?(chunk_size = 1) ?on_done f xs =
+let parallel_map ?domains ?wall_budget ?on_done f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
@@ -267,25 +226,23 @@ let parallel_map ?domains ?wall_budget ?(chunk_size = 1) ?on_done f xs =
       in
       min requested n
     in
-    let chunk_size = max 1 chunk_size in
     let deadline =
       match wall_budget with
       | None -> infinity
       | Some s -> Obs.now () +. s
     in
     let t0 = Obs.now () in
-    (* Slot [i] belongs to exactly one worker (the one that claimed the
-       chunk containing [i]), so plain array writes race with nothing; the
-       final Domain.join publishes them to the submitter. *)
+    (* Slot [i] belongs to exactly one worker (the one that claimed [i]),
+       so plain array writes race with nothing; the final Domain.join
+       publishes them to the submitter. *)
     let results = Array.make n Cancelled in
-    (* Per-worker seconds spent running jobs (queue waits excluded); the
-       speedup gauge is Σ busy / wall. Each worker owns its own slot. *)
+    (* Per-worker seconds spent running jobs; the speedup gauge is
+       Σ busy / wall. Each worker owns its own slot. *)
     let busy = Array.make workers 0.0 in
-    let run_one i =
-      (if Obs.now () > deadline then begin
-         results.(i) <- Cancelled;
+    let run_one w i =
+      let s0 = Obs.now () in
+      (if s0 > deadline then
          Trace.instant "batch.cancelled" ~args:[ ("index", Json.Int i) ]
-       end
        else
          Trace.with_span "batch.job"
            ~args:[ ("index", Json.Int i) ]
@@ -293,44 +250,20 @@ let parallel_map ?domains ?wall_budget ?(chunk_size = 1) ?on_done f xs =
              match f xs.(i) with
              | y -> results.(i) <- Done y
              | exception e -> results.(i) <- Failed e));
+      busy.(w) <- busy.(w) +. (Obs.now () -. s0);
       match on_done with None -> () | Some g -> g i results.(i)
     in
-    let q = queue_create () in
+    let next = Atomic.make 0 in
+    (* [Trace.with_span] = timeline event pair on this worker's domain
+       row + the batch/batch.worker-k Obs aggregate. *)
     let worker w () =
-      (* [Trace.with_span] = timeline event pair on this worker's domain
-         row + the existing batch/batch.worker-k Obs aggregate. The
-         dequeue span makes idle gaps (waiting on the condition variable)
-         visible as time not spent inside batch.job. *)
       Trace.with_span
         (Printf.sprintf "batch.worker-%d" w)
-        (fun () ->
-          let rec loop () =
-            match Trace.with_span "batch.dequeue" (fun () -> pop q) with
-            | None -> ()
-            | Some (lo, hi) ->
-                let s0 = Obs.now () in
-                for i = lo to hi - 1 do
-                  run_one i
-                done;
-                busy.(w) <- busy.(w) +. (Obs.now () -. s0);
-                Trace.instant "batch.chunk-done"
-                  ~args:[ ("lo", Json.Int lo); ("hi", Json.Int hi) ];
-                loop ()
-          in
-          loop ())
+        (fun () -> ignore (claim next n (run_one w)))
     in
     let spawned =
       Array.init (workers - 1) (fun k -> Domain.spawn (worker (k + 1)))
     in
-    let rec feed lo =
-      if lo < n then begin
-        let hi = min n (lo + chunk_size) in
-        enqueue q (lo, hi);
-        feed hi
-      end
-    in
-    feed 0;
-    close q;
     worker 0 ();
     Array.iter Domain.join spawned;
     let wall = Obs.now () -. t0 in

@@ -1,4 +1,4 @@
-(** Domain-pool scheduler for embarrassingly parallel job arrays.
+(** Domain scheduling: one-shot job arrays and a persistent executor.
 
     The paper's evaluation is batch-shaped: Tables 2–4 and the yield
     curves are hundreds of independent [(circuit, model, config)] pipeline
@@ -6,8 +6,9 @@
     own {!Socy_bdd.Manager}, its own {!Socy_mdd.Mdd}). This module runs
     such job arrays across OCaml 5 domains:
 
-    - a {e chunked work queue} (mutex + condition): the submitting domain
-      enqueues index chunks while workers already consume them;
+    - a {e claim counter}: every worker (the submitting domain included)
+      takes the next unclaimed job index with one fetch-and-add, so load
+      balances per job without a queue;
     - {e deterministic result ordering}: slot [i] of the result array is
       job [i]'s outcome, regardless of which worker ran it or when it
       finished;
@@ -15,17 +16,19 @@
       and the rest of the batch continues;
     - an optional {e wall-clock budget}: jobs not started when it expires
       are marked [Cancelled] (running jobs are never interrupted);
-    - {!Socy_obs} aggregation: [batch.jobs*] counters, [batch.domains] and
+    - {!Socy_obs} aggregation: [batch.jobs] counter, [batch.domains] and
       [batch.speedup] gauges, one [batch.worker-k] span per worker — and,
       through {!Socy_obs.Trace}, a per-domain timeline: worker lifetime
-      spans, [batch.dequeue] spans (idle gaps waiting for work),
-      per-[batch.job] spans carrying the job index, [batch.chunk-done] and
+      spans, per-[batch.job] spans carrying the job index, and
       [batch.cancelled] instants.
 
     The submitting domain participates as worker 0, so
     [parallel_map ~domains:1] spawns no domain at all and degenerates to a
     plain sequential loop in submission order — the reference execution
-    that parallel runs are tested against, bit for bit. *)
+    that parallel runs are tested against, bit for bit.
+
+    The same claim counter drives {!Executor.parallel_tasks}, the
+    intra-problem team of a parallel build. *)
 
 (** Outcome of one job, in submission order. *)
 type 'a outcome =
@@ -38,10 +41,8 @@ val default_domains : unit -> int
 
 (** [parallel_map f xs] maps [f] over [xs] on [domains] workers
     (default {!default_domains}, clamped to the job count) and returns the
-    outcomes in submission order. [chunk_size] (default 1) is the number of
-    consecutive jobs a worker claims per queue round-trip — leave it at 1
-    for heavyweight jobs, raise it for many tiny ones. [wall_budget] is the
-    batch's wall-clock budget in seconds.
+    outcomes in submission order. [wall_budget] is the batch's wall-clock
+    budget in seconds.
 
     [on_done i outcome] is called right after job [i] settles (including
     [Cancelled] jobs), {e on the worker domain that ran it} — it must be
@@ -54,7 +55,6 @@ val default_domains : unit -> int
 val parallel_map :
   ?domains:int ->
   ?wall_budget:float ->
-  ?chunk_size:int ->
   ?on_done:(int -> 'b outcome -> unit) ->
   ('a -> 'b) ->
   'a array ->
@@ -64,11 +64,13 @@ val parallel_map :
 
     {!parallel_map} owns its workers for the duration of one batch: spawn,
     drain, join. A server cannot work that way — requests arrive one at a
-    time, from many client threads, over hours — so {!Executor} keeps the
-    same chunked-queue machinery alive across submissions: a fixed set of
-    worker domains consuming a thunk queue that any number of (sys)threads
-    feed concurrently. [socyield serve] schedules every pipeline run on one
-    of these. *)
+    time, from many client threads, over hours — so {!Executor} keeps a
+    fixed set of worker domains alive across submissions, parked on a
+    thunk queue that any number of (sys)threads feed concurrently. It is
+    the only place in the system where domains wait for work.
+    [socyield serve] schedules every pipeline run on one of these, and a
+    parallel build ([par_domains > 1]) runs its intra-problem team on one,
+    the daemon's or a transient one. *)
 
 module Executor : sig
   (** A persistent pool of worker domains executing submitted thunks. *)
@@ -91,24 +93,23 @@ module Executor : sig
       {!shutdown}. *)
   val run : t -> (unit -> 'a) -> 'a
 
-  (** [in_flight t] is the number of submitted thunks not yet completed
-      (queued + running) — the admission-control and gauge feed. *)
+  (** [in_flight t] is the number of {!run} submissions not yet completed
+      (queued + running) — the admission-control and gauge feed. The
+      helper drainers of {!parallel_tasks} never count: they are part of
+      a caller's work, which its own {!run} already counts. *)
   val in_flight : t -> int
-
-  (** [run_detached t f] enqueues [f] without waiting for it. Exceptions
-      [f] raises are swallowed (there is no caller to surface them in);
-      wrap [f] if its failures matter. Raises [Invalid_argument] after
-      {!shutdown}. *)
-  val run_detached : t -> (unit -> unit) -> unit
 
   (** [parallel_tasks t tasks] runs every task exactly once and returns
       when all are done, re-raising the first task exception afterwards.
       Tasks are claimed from a shared counter by up to [domains t]
-      detached helper drainers {e and by the calling thread}, which
+      queued helper drainers {e and by the calling thread}, which
       drains regardless — so completion is guaranteed even when the
       executor is saturated by enclosing jobs (the helpers then no-op).
-      This is the {!Socy_bdd.Par.runner} hook [socyield serve] installs
-      to reuse its batch workers for intra-problem parallelism. *)
+      This is the {!Socy_bdd.Par.runner} behind every parallel build:
+      [socyield serve] passes its own executor's, and
+      {!Pipeline.Artifacts.build} otherwise uses a transient executor of
+      [par_domains - 1] domains. A concurrent {!shutdown} is not an
+      error: the caller then drains alone. *)
   val parallel_tasks : t -> (unit -> unit) array -> unit
 
   (** [shutdown t] closes the queue, lets the workers {e drain every

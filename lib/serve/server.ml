@@ -5,7 +5,7 @@ module Json = Socy_obs.Json
 module Ctx = Socy_obs.Ctx
 module Log = Socy_obs.Log
 module Export = Socy_obs.Export
-module Pool = Socy_batch.Pool
+module Pool = Socy_core.Pool
 module P = Socy_core.Pipeline
 module Model = Socy_defects.Model
 module Proto = Protocol

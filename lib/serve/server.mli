@@ -7,7 +7,7 @@
     One accept loop (the thread that called {!run}) spawns one (sys)thread
     per client connection; connection threads parse requests, consult the
     {!Cache}, and schedule cache misses on a shared
-    {!Socy_batch.Pool.Executor} — a persistent pool of worker {e domains},
+    {!Socy_core.Pool.Executor} — a persistent pool of worker {e domains},
     so concurrent clients evaluate in parallel while each pipeline run
     still owns its decision-diagram state exclusively (the batch-engine
     ownership model, one job at a time per domain).
@@ -89,7 +89,7 @@ type config = {
       (** intra-problem team size applied to requests that omit
           [par_domains]; [1] (default) = sequential engine. Parallel runs
           reuse the executor's worker domains via
-          {!Socy_batch.Pool.Executor.parallel_tasks} — the daemon never
+          {!Socy_core.Pool.Executor.parallel_tasks} — the daemon never
           spawns a second domain team (see docs/OPERATIONS.md). *)
   backlog : int;  (** listen(2) backlog *)
   unlink_existing : bool;

@@ -1,11 +1,11 @@
 (* Tests for the multicore batch engine: the generic domain pool
-   (ordering, failure isolation, cancellation, chunking) and the pipeline
-   batch entry point — in particular the determinism contract that
+   (ordering, failure isolation, cancellation, executor accounting) and
+   the pipeline batch entry point — in particular the determinism contract that
    [run_batch ~domains:1] (a plain sequential loop) and a genuinely
    parallel run produce bit-identical report lists. *)
 
-module P = Socy_batch.Pipeline
-module Pool = Socy_batch.Pool
+module P = Socy_core.Pipeline
+module Pool = Socy_core.Pool
 module S = Socy_benchmarks.Suite
 module Parse = Socy_logic.Parse
 module D = Socy_defects.Distribution
@@ -20,7 +20,7 @@ module Obs = Socy_obs.Obs
 
 let test_pool_ordering () =
   let xs = Array.init 100 Fun.id in
-  let out = Pool.parallel_map ~domains:4 ~chunk_size:3 (fun i -> i * i) xs in
+  let out = Pool.parallel_map ~domains:4 (fun i -> i * i) xs in
   Alcotest.(check int) "length" 100 (Array.length out);
   Array.iteri
     (fun i o ->
@@ -72,6 +72,43 @@ let test_pool_empty_and_single () =
   match Pool.parallel_map ~domains:64 (fun x -> -x) [| 1; 2 |] with
   | [| Pool.Done (-1); Pool.Done (-2) |] -> ()
   | _ -> Alcotest.fail "two jobs"
+
+(* [in_flight] counts [run] submissions only. With the one worker of a
+   1-domain executor blocked inside a [run], the [parallel_tasks] helper
+   stays queued while the caller drains every task itself; that helper
+   must not hold [in_flight] above the one blocked [run]. *)
+let test_executor_in_flight_ignores_helpers () =
+  let ex = Pool.Executor.create ~domains:1 () in
+  let started = Atomic.make false in
+  let release = Atomic.make false in
+  (* Release the blocked worker before joining it, also on failure. *)
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Pool.Executor.shutdown ex)
+    (fun () ->
+      let blocker =
+        Thread.create
+          (fun () ->
+            Pool.Executor.run ex (fun () ->
+                Atomic.set started true;
+                while not (Atomic.get release) do
+                  Domain.cpu_relax ()
+                done))
+          ()
+      in
+      while not (Atomic.get started) do
+        Thread.yield ()
+      done;
+      let ran = Atomic.make 0 in
+      Pool.Executor.parallel_tasks ex (Array.init 4 (fun _ () -> Atomic.incr ran));
+      Alcotest.(check int) "every task ran" 4 (Atomic.get ran);
+      Alcotest.(check int) "only the blocked run is in flight" 1
+        (Pool.Executor.in_flight ex);
+      Atomic.set release true;
+      Thread.join blocker;
+      Alcotest.(check int) "nothing in flight once it returned" 0
+        (Pool.Executor.in_flight ex))
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline batches                                                    *)
@@ -251,7 +288,7 @@ let test_config_builder () =
     ((c |> P.Config.with_cpu_limit None).P.cpu_limit = None)
 
 let () =
-  Alcotest.run "socy_batch"
+  Alcotest.run "batch"
     [
       ( "pool",
         [
@@ -259,6 +296,8 @@ let () =
           Alcotest.test_case "failure isolation" `Quick test_pool_failure_isolation;
           Alcotest.test_case "wall-budget cancellation" `Quick test_pool_cancellation;
           Alcotest.test_case "edge sizes" `Quick test_pool_empty_and_single;
+          Alcotest.test_case "executor in_flight ignores helper drainers" `Quick
+            test_executor_in_flight_ignores_helpers;
         ] );
       ( "run_batch",
         [

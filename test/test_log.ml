@@ -9,7 +9,7 @@ module Ctx = Socy_obs.Ctx
 module Log = Socy_obs.Log
 module Export = Socy_obs.Export
 module Json = Socy_obs.Json
-module Pool = Socy_batch.Pool
+module Pool = Socy_core.Pool
 
 let with_log ?level f () =
   Log.reset ();

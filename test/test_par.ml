@@ -5,10 +5,11 @@
    mid-parallel-build must leave the store structurally consistent. *)
 
 module C = Socy_logic.Circuit
-module P = Socy_batch.Pipeline
+module P = Socy_core.Pipeline
 module M = Socy_bdd.Manager
 module Pbdd = Socy_bdd.Pbdd
 module Par = Socy_bdd.Par
+module Pool = Socy_core.Pool
 module Store = Socy_bdd.Store
 module Compile = Socy_bdd.Compile
 module Mdd = Socy_mdd.Mdd
@@ -17,6 +18,14 @@ module D = Socy_defects.Distribution
 module S = Socy_benchmarks.Suite
 module Scheme = Socy_order.Scheme
 module H = Socy_order.Heuristics
+
+(* A team of [domains] participants on a transient executor, the way a
+   parallel pipeline build makes one. *)
+let with_team ~domains f =
+  let ex = Pool.Executor.create ~domains:(domains - 1) () in
+  Fun.protect
+    ~finally:(fun () -> Pool.Executor.shutdown ex)
+    (fun () -> f (Par.of_runner ~domains (Pool.Executor.parallel_tasks ex)))
 
 (* ------------------------------------------------------------------ *)
 (* Random fault trees                                                  *)
@@ -148,10 +157,7 @@ let test_engine_bit_identity () =
   let n = circuit.C.num_inputs in
   let m_seq = M.create ~num_vars:n () in
   let root_seq, st_seq = Compile.of_circuit m_seq circuit ~var_of_input:Fun.id in
-  let team = Par.spawn ~domains:3 in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown team)
-    (fun () ->
+  with_team ~domains:3 (fun team ->
       let pb = Pbdd.create ~team ~num_vars:n () in
       let m_par = M.create ~num_vars:n () in
       let root_par, st_par = Compile.of_circuit_par pb m_par circuit ~var_of_input:Fun.id in
@@ -181,10 +187,7 @@ let test_budget_abort_store_consistent () =
   let ft =
     C.finish b ~name:"xor64" (C.xor_ b (List.init 64 (C.input b)))
   in
-  let team = Par.spawn ~domains:2 in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown team)
-    (fun () ->
+  with_team ~domains:2 (fun team ->
       let pb = Pbdd.create ~node_limit:40 ~team ~num_vars:64 () in
       let m = M.create ~num_vars:64 () in
       (match Compile.of_circuit_par pb m ft ~var_of_input:Fun.id with
@@ -208,15 +211,32 @@ let test_pipeline_budget_abort () =
   | Error f -> Alcotest.failf "unexpected failure: %s" (P.failure_to_string f)
   | Ok _ -> Alcotest.fail "expected Node_budget"
 
+(* A build without a [par_runner] owns a transient executor of
+   [par_domains - 1] domains. 45 builds of 3 domains each exceed OCaml's
+   128-domain limit, so a missed shutdown on either the budget-trip path
+   or the success path fails with "failed to allocate domain". *)
+let test_transient_team_no_leak () =
+  let rows = S.table_rows () in
+  let row label = List.find (fun r -> S.row_label r = label) rows in
+  let ms4 = row "MS4, l'=1" and ms2 = row "MS2, l'=1" in
+  let tripping = P.Config.make ~node_limit:5_000 ~par_domains:4 () in
+  let plain = P.Config.make ~par_domains:4 () in
+  for i = 1 to 45 do
+    (match P.run_lethal ~config:tripping ms4.S.instance.S.circuit (S.lethal ms4) with
+    | Error (P.Node_budget _) -> ()
+    | Error f -> Alcotest.failf "trip %d: %s" i (P.failure_to_string f)
+    | Ok _ -> Alcotest.failf "trip %d: expected Node_budget" i);
+    match P.run_lethal ~config:plain ms2.S.instance.S.circuit (S.lethal ms2) with
+    | Ok _ -> ()
+    | Error f -> Alcotest.failf "run %d: %s" i (P.failure_to_string f)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Team mechanics                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_par_run_executes_all_tasks () =
-  let team = Par.spawn ~domains:4 in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown team)
-    (fun () ->
+  with_team ~domains:4 (fun team ->
       let n = 100 in
       let hits = Array.make n (Atomic.make 0) in
       Array.iteri (fun i _ -> hits.(i) <- Atomic.make 0) hits;
@@ -229,10 +249,7 @@ let test_par_run_executes_all_tasks () =
         hits)
 
 let test_par_first_exception_wins () =
-  let team = Par.spawn ~domains:2 in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown team)
-    (fun () ->
+  with_team ~domains:2 (fun team ->
       let ran = Atomic.make 0 in
       (match
          Par.run team
@@ -267,6 +284,8 @@ let () =
             test_budget_abort_store_consistent;
           Alcotest.test_case "pipeline Node_budget on par path" `Quick
             test_pipeline_budget_abort;
+          Alcotest.test_case "no domain leak over 90 transient teams" `Quick
+            test_transient_team_no_leak;
         ] );
       ( "team",
         [

@@ -5,8 +5,8 @@
    every pipeline report must carry a GC delta per stage whether or not
    the observability flag is up. *)
 
-module P = Socy_batch.Pipeline
-module Pool = Socy_batch.Pool
+module P = Socy_core.Pipeline
+module Pool = Socy_core.Pool
 module S = Socy_benchmarks.Suite
 module Obs = Socy_obs.Obs
 module Trace = Socy_obs.Trace
@@ -130,7 +130,7 @@ let check_document doc =
 let test_pool_two_domain_trace () =
   let xs = Array.init 16 Fun.id in
   let out =
-    Pool.parallel_map ~domains:2 ~chunk_size:1
+    Pool.parallel_map ~domains:2
       (fun i ->
         spin_for 0.004;
         i)
@@ -166,7 +166,7 @@ let test_pool_two_domain_trace () =
 let test_on_done_sees_every_job () =
   let seen = Atomic.make 0 in
   let out =
-    Pool.parallel_map ~domains:2 ~chunk_size:1
+    Pool.parallel_map ~domains:2
       ~on_done:(fun i -> function
         | Pool.Done j -> if i = j then Atomic.incr seen
         | _ -> ())
