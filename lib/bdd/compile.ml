@@ -48,18 +48,23 @@ let of_circuit ?(gc_threshold = 500_000) ?(reorder = false)
     remaining.(n.C.id) <- r;
     if r = 0 then Manager.deref m (lookup n)
   in
-  (* Left fold of a binary manager operation over a fan-in array, threading
-     ownership through the accumulator. *)
-  let fold_op op (args : C.node array) =
-    let first = lookup args.(0) in
-    Manager.ref_ m first;
-    let acc = ref first in
-    for i = 1 to Array.length args - 1 do
-      let next = op m !acc (lookup args.(i)) in
-      Manager.deref m !acc;
-      acc := next
-    done;
-    !acc
+  (* Balanced pairwise reduction of a binary manager operation over a
+     fan-in array: every operand is owned (leaves are [ref_]'d), and each
+     combine step releases both of its operands, so exactly the result
+     survives. *)
+  let reduce_op op (args : C.node array) =
+    let owned (n : C.node) =
+      let h = lookup n in
+      Manager.ref_ m h;
+      h
+    in
+    C.reduce_pairwise
+      (fun a b ->
+        let r = op m a b in
+        Manager.deref m a;
+        Manager.deref m b;
+        r)
+      (Array.map owned args)
   in
   let negate owned =
     let r = Manager.not_ m owned in
@@ -68,13 +73,13 @@ let of_circuit ?(gc_threshold = 500_000) ?(reorder = false)
   in
   let compile_gate kind args =
     match (kind : C.gate_kind) with
-    | C.And -> fold_op Manager.and_ args
-    | C.Or -> fold_op Manager.or_ args
-    | C.Xor -> fold_op Manager.xor_ args
+    | C.And -> reduce_op Manager.and_ args
+    | C.Or -> reduce_op Manager.or_ args
+    | C.Xor -> reduce_op Manager.xor_ args
     | C.Not -> Manager.not_ m (lookup args.(0))
-    | C.Nand -> negate (fold_op Manager.and_ args)
-    | C.Nor -> negate (fold_op Manager.or_ args)
-    | C.Xnor -> negate (fold_op Manager.xor_ args)
+    | C.Nand -> negate (reduce_op Manager.and_ args)
+    | C.Nor -> negate (reduce_op Manager.or_ args)
+    | C.Xnor -> negate (reduce_op Manager.xor_ args)
   in
   (* Static span names: per-gate tracing must not allocate per gate. *)
   let gate_span = function
@@ -134,22 +139,18 @@ let of_circuit_par pb m circuit ~var_of_input =
   let max_id = List.fold_left (fun acc (n : C.node) -> max acc n.C.id) 0 order in
   let bdd_of = Array.make (max_id + 1) (-1) in
   let lookup (n : C.node) = bdd_of.(n.C.id) in
-  let fold_op op (args : C.node array) =
-    let acc = ref (lookup args.(0)) in
-    for i = 1 to Array.length args - 1 do
-      acc := op pb !acc (lookup args.(i))
-    done;
-    !acc
+  let reduce_op op (args : C.node array) =
+    C.reduce_pairwise (op pb) (Array.map lookup args)
   in
   let compile_gate kind args =
     match (kind : C.gate_kind) with
-    | C.And -> fold_op Pbdd.and_ args
-    | C.Or -> fold_op Pbdd.or_ args
-    | C.Xor -> fold_op Pbdd.xor_ args
+    | C.And -> reduce_op Pbdd.and_ args
+    | C.Or -> reduce_op Pbdd.or_ args
+    | C.Xor -> reduce_op Pbdd.xor_ args
     | C.Not -> Pbdd.not_ pb (lookup args.(0))
-    | C.Nand -> fold_op Pbdd.and_ args lxor 1
-    | C.Nor -> fold_op Pbdd.or_ args lxor 1
-    | C.Xnor -> fold_op Pbdd.xor_ args lxor 1
+    | C.Nand -> reduce_op Pbdd.and_ args lxor 1
+    | C.Nor -> reduce_op Pbdd.or_ args lxor 1
+    | C.Xnor -> reduce_op Pbdd.xor_ args lxor 1
   in
   let gates_counter = Obs.counter "bdd.compile.gates" in
   Obs.with_span "bdd.compile.par" (fun () ->

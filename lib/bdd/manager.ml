@@ -84,6 +84,11 @@ type t = {
 let one = 0
 let zero = 1
 let is_terminal n = n < 2
+
+(* Int-typed minimum for the APPLY hot paths: without flambda,
+   [Stdlib.min] stays a call into the polymorphic compare. *)
+let imin (a : int) b = if a < b then a else b
+
 let is_complemented n = n land 1 = 1
 let regular n = n land -2
 let num_vars m = m.nvars
@@ -495,7 +500,7 @@ let ite m f g h =
           m.cache_misses <- m.cache_misses + 1;
           let sf = f lsr 1 and sg = g lsr 1 and sh = h lsr 1 in
           let lf = m.level.(sf) and lg = m.level.(sg) and lh = m.level.(sh) in
-          let lv = min lf (min lg lh) in
+          let lv = imin lf (imin lg lh) in
           if !ntop * ite_stride = Array.length m.ite_frames then begin
             let b = Array.make (2 * Array.length m.ite_frames) 0 in
             Array.blit m.ite_frames 0 b 0 (Array.length m.ite_frames);
@@ -595,7 +600,7 @@ let and_ m f g =
         m.cache_misses <- m.cache_misses + 1;
         let sa = a lsr 1 and sb = b lsr 1 in
         let la = m.level.(sa) and lb = m.level.(sb) in
-        let lv = min la lb in
+        let lv = imin la lb in
         if !ntop * ite_stride = Array.length m.ite_frames then begin
           let bb = Array.make (2 * Array.length m.ite_frames) 0 in
           Array.blit m.ite_frames 0 bb 0 (Array.length m.ite_frames);

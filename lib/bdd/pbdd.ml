@@ -116,6 +116,10 @@ let drain_cache_stats t c =
 
 let hash3 = Store.hash3
 
+(* Int-typed minimum for the APPLY hot paths: without flambda,
+   [Stdlib.min] stays a call into the polymorphic compare. *)
+let imin (a : int) b = if a < b then a else b
+
 (* --- sequential kernels over the store ----------------------------------- *)
 
 (* Ports of [Manager.and_] / [Manager.ite] — same frame layout, same
@@ -153,7 +157,7 @@ let seq_and t c f g =
         c.misses <- c.misses + 1;
         let sa = a lsr 1 and sb = b lsr 1 in
         let la = Store.level_of_slot st sa and lb = Store.level_of_slot st sb in
-        let lv = min la lb in
+        let lv = imin la lb in
         if !ntop * ite_stride = Array.length c.frames then begin
           let bb = Array.make (2 * Array.length c.frames) 0 in
           Array.blit c.frames 0 bb 0 (Array.length c.frames);
@@ -248,7 +252,7 @@ let seq_ite t c f g h =
           let lf = Store.level_of_slot st sf
           and lg = Store.level_of_slot st sg
           and lh = Store.level_of_slot st sh in
-          let lv = min lf (min lg lh) in
+          let lv = imin lf (imin lg lh) in
           if !ntop * ite_stride = Array.length c.frames then begin
             let b = Array.make (2 * Array.length c.frames) 0 in
             Array.blit c.frames 0 b 0 (Array.length c.frames);
@@ -376,7 +380,7 @@ let and_ t f g =
       else begin
         let sf = f lsr 1 and sg = g lsr 1 in
         let lf = Store.level_of_slot st sf and lg = Store.level_of_slot st sg in
-        let lv = min lf lg in
+        let lv = imin lf lg in
         let f1 = if lf = lv then Store.high_of_slot st sf lxor (f land 1) else f in
         let g1 = if lg = lv then Store.high_of_slot st sg lxor (g land 1) else g in
         let f0 = if lf = lv then Store.low_of_slot st sf lxor (f land 1) else f in
@@ -435,7 +439,7 @@ let ite t f g h =
           let lf = Store.level_of_slot st sf
           and lg = Store.level_of_slot st sg
           and lh = Store.level_of_slot st sh in
-          let lv = min lf (min lg lh) in
+          let lv = imin lf (imin lg lh) in
           let cof fld x sx lx =
             if lx = lv then fld st sx lxor (x land 1) else x
           in

@@ -51,7 +51,7 @@ type outcome = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* The default table: exactly the historical bench/compare.ml policy.  *)
+(* The default table: the bench/compare.ml policy.                    *)
 (* ------------------------------------------------------------------ *)
 
 let yield_tolerance = 1e-12
@@ -97,6 +97,16 @@ let default_gates =
       announce_pass = true;
       target = Fields [ "robdd_peak"; "peak_nodes" ];
       rule = Max_ratio { factor = 1.10; noise_floor = neg_infinity };
+    };
+    (* the coded ROBDD and the ROMDD are canonical for a fixed ordering,
+       so any change in their sizes means the function or the ordering
+       changed — not a performance trade-off: exact identity. *)
+    {
+      g_name = "size-identity";
+      unit = Nodes;
+      announce_pass = false;
+      target = Fields [ "robdd_size"; "romdd_size" ];
+      rule = Max_abs_drift 0.0;
     };
     (* parallel runs must be bit-identical to sequential — checked on
        the fresh file alone, no baseline needed. *)

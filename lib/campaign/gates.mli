@@ -7,11 +7,12 @@
     differ ({!Campaign.diff}), so the three tools can never drift apart
     on policy.
 
-    {!default_gates} encodes exactly the historical [bench/compare.ml]
-    behaviour: yield drift beyond 1e-12 fails; seconds-valued fields
-    (except [wall_*], [trace_*], [gc_*]) regressing more than 25% on a
-    ≥50ms baseline fail; [robdd_peak]/[peak_nodes] growing more than 10%
-    fail; [seq_yield_drift]-style fields above 1e-12 fail on the fresh
+    {!default_gates} encodes the [bench/compare.ml] policy: yield drift
+    beyond 1e-12 fails; seconds-valued fields (except [wall_*], [trace_*],
+    [gc_*]) regressing more than 25% on a ≥50ms baseline fail; [robdd_peak]/[peak_nodes] growing more than 10%
+    fail; any change of [robdd_size]/[romdd_size] fails (both diagrams are
+    canonical, so a size change means a different function or ordering);
+    [seq_yield_drift]-style fields above 1e-12 fail on the fresh
     document alone; and ≥4-domain runs must report [par_speedup] ≥ 1.5×. *)
 
 type fields = (string * Socy_obs.Json.t) list
@@ -85,7 +86,7 @@ val row_gate : gate
 (** Synthetic gate carried by {!Row_missing}/{!Row_new} outcomes. *)
 
 val default_gates : gate list
-(** The historical [bench/compare.ml] policy, as data. *)
+(** The [bench/compare.ml] policy, as data. *)
 
 val target_matches : target -> string -> bool
 

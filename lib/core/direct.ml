@@ -42,20 +42,15 @@ let build mdd problem (scheme : Scheme.t) =
           | C.Const true -> Mdd.one
           | C.Gate (kind, args) -> (
               let vals = Array.map go args in
-              let fold op =
-                Array.fold_left
-                  (fun acc x -> op mdd acc x)
-                  vals.(0)
-                  (Array.sub vals 1 (Array.length vals - 1))
-              in
+              let reduce op = C.reduce_pairwise (op mdd) vals in
               match kind with
-              | C.And -> fold Mdd.apply_and
-              | C.Or -> fold Mdd.apply_or
-              | C.Xor -> fold Mdd.apply_xor
+              | C.And -> reduce Mdd.apply_and
+              | C.Or -> reduce Mdd.apply_or
+              | C.Xor -> reduce Mdd.apply_xor
               | C.Not -> Mdd.not_ mdd vals.(0)
-              | C.Nand -> Mdd.not_ mdd (fold Mdd.apply_and)
-              | C.Nor -> Mdd.not_ mdd (fold Mdd.apply_or)
-              | C.Xnor -> Mdd.not_ mdd (fold Mdd.apply_xor))
+              | C.Nand -> Mdd.not_ mdd (reduce Mdd.apply_and)
+              | C.Nor -> Mdd.not_ mdd (reduce Mdd.apply_or)
+              | C.Xnor -> Mdd.not_ mdd (reduce Mdd.apply_xor))
         in
         Hashtbl.add memo n.C.id v;
         v

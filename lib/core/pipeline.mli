@@ -50,7 +50,7 @@ type config = {
       (** number of domains used {e inside} one evaluation: the coded-ROBDD
           build runs on {!Socy_bdd.Pbdd} (sharded concurrent unique table,
           frontier-split APPLY) and the ROMDD conversion distributes each
-          layer's codeword simulations, with the finished diagram imported
+          layer's per-entry descents, with the finished diagram imported
           into the ordinary sequential manager — so results, node ids
           included, are bit-identical to the sequential engine's.
           [1] (the default) is the pure sequential path, byte-for-byte the
@@ -193,6 +193,12 @@ val run_lethal :
   Socy_logic.Circuit.t ->
   Socy_defects.Model.lethal ->
   (report, failure) result
+
+(** [layout_of_scheme problem scheme] is the {!Socy_mdd.Conversion} layout
+    an ordering scheme induces: BDD level → group position, each position's
+    contiguous level block, and codewords re-aligned to level order. *)
+val layout_of_scheme :
+  Socy_encode.Problem.t -> Socy_order.Scheme.t -> Socy_mdd.Conversion.layout
 
 (** {1 Staged access}
 

@@ -213,6 +213,29 @@ let fanout c =
             args);
   counts
 
+let reduce_pairwise combine xs =
+  let n = Array.length xs in
+  if n = 0 then invalid_arg "Circuit.reduce_pairwise: empty fan-in";
+  if n = 1 then xs.(0)
+  else begin
+    (* Round 1 reads [xs]; later rounds overwrite [acc] in place, which is
+       safe because slot [i] is written only after slots [2i], [2i+1] were
+       read. *)
+    let acc = Array.make ((n + 1) / 2) xs.(0) in
+    let round src len =
+      for i = 0 to (len / 2) - 1 do
+        acc.(i) <- combine src.(2 * i) src.((2 * i) + 1)
+      done;
+      if len land 1 = 1 then acc.(len / 2) <- src.(len - 1);
+      (len + 1) / 2
+    in
+    let len = ref (round xs n) in
+    while !len > 1 do
+      len := round acc !len
+    done;
+    acc.(0)
+  end
+
 let gate_kind_name = function
   | And -> "AND"
   | Or -> "OR"

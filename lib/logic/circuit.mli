@@ -101,6 +101,18 @@ val postorder : t -> node list
     (the output has an implicit extra reference, not counted). *)
 val fanout : t -> (int, int) Hashtbl.t
 
+(** [reduce_pairwise combine xs] reduces the fan-in values [xs] of an
+    n-ary gate in balanced rounds: each round combines neighbours
+    [(x1, x2)], [(x3, x4)], … in order, and an odd last operand carries
+    over to the next round, until one value is left. [combine] runs
+    [length xs - 1] times, in a fixed order that depends only on
+    [length xs]; a one-element array returns its element without calling
+    [combine]. Against a left fold, an absorbed operand is met by a small
+    partial result instead of the whole accumulator, which is what makes
+    wide gates cheap to build as diagrams. [xs] is not modified. Raises
+    [Invalid_argument] on an empty array. *)
+val reduce_pairwise : ('a -> 'a -> 'a) -> 'a array -> 'a
+
 (** Graphviz rendering, for debugging and documentation. *)
 val to_dot : t -> string
 

@@ -100,10 +100,10 @@ let run ?team bdd root mdd layout =
      (ROMDD handles are nonnegative). Indexed by BDD handle, so the entry
      parity is part of the key — see the pass-1 comment.
 
-     Each layer splits into two phases. (a) For every entry, simulate the
-     codewords through the BDD and resolve the child ROMDD handles — pure
-     reads of the frozen BDD and of [mapping] slots written by DEEPER
-     layers (simulation targets are terminals or entries of already
+     Each layer splits into two phases. (a) For every entry, walk the
+     layer once for all codewords and resolve the child ROMDD handles —
+     pure reads of the frozen BDD and of [mapping] slots written by DEEPER
+     layers (exit targets are terminals or entries of already
      processed layers, never this one), so entries are independent and the
      phase partitions across the team, one chunk per task, with the
      [Par.run] join as the per-level barrier. (b) [Mdd.mk] every entry in
@@ -115,20 +115,8 @@ let run ?team bdd root mdd layout =
   let mapping = Array.make (max 2 (B.handle_bound bdd)) (-1) in
   mapping.(B.zero) <- Mdd.zero;
   mapping.(B.one) <- Mdd.one;
-  let simulate g bits entry =
-    (* Follow the codeword [bits] through layer [g], skipping the bits the
-       BDD does not test. *)
-    let rec follow n =
-      if B.is_terminal n || group_of n <> g then n
-      else
-        let bit = bits.(pos_in_group.(B.level bdd n)) in
-        follow (if bit then B.high bdd n else B.low bdd n)
-    in
-    follow entry
-  in
-  let child g bits entry =
-    let target = simulate g bits entry in
-    let mnode = mapping.(target) in
+  let target_mapping n =
+    let mnode = mapping.(n) in
     if mnode < 0 then
       (* Unreachable in a correct layout: targets are terminals or
          entries of deeper, already processed layers. *)
@@ -145,10 +133,51 @@ let run ?team bdd root mdd layout =
         let n = Array.length ents in
         Obs.add entry_counter n;
         Obs.observe layer_hist (float_of_int n);
-        (* The layer's codewords, built once: every entry simulates all of
-           them. *)
-        let codes = Array.init (Mdd.spec mdd g).domain (layout.codeword g) in
-        let kids_of entry = Array.map (fun bits -> child g bits entry) codes in
+        (* Each value's codeword as an int, its first level in the top bit,
+           built once. Sorted by it, the values that share the bits above
+           position [pos] form a contiguous range, which bit [pos] splits
+           into two contiguous halves. *)
+        let domain = (Mdd.spec mdd g).domain in
+        let nbits = Array.length layout.levels_of_group.(g) in
+        let key =
+          Array.init domain (fun j ->
+              Array.fold_left
+                (fun k b -> (2 * k) + Bool.to_int b)
+                0 (layout.codeword g j))
+        in
+        let value_at = Array.init domain Fun.id in
+        Array.stable_sort (fun a b -> Int.compare key.(a) key.(b)) value_at;
+        let key = Array.map (fun j -> key.(j)) value_at in
+        (* One descent per entry: the values in [lo, hi) all reach [n]
+           before bit [pos]. A node testing bit [pos] is read once for the
+           whole range; a skipped bit splits the range without a read. The
+           [kids] array equals what simulating each codeword alone from
+           the entry gives. *)
+        let kids_of entry =
+          let kids = Array.make domain 0 in
+          let rec walk n pos lo hi =
+            if B.is_terminal n || group_of n <> g then begin
+              let mnode = target_mapping n in
+              for i = lo to hi - 1 do
+                kids.(value_at.(i)) <- mnode
+              done
+            end
+            else begin
+              let bit = 1 lsl (nbits - 1 - pos) in
+              let mid = ref lo in
+              while !mid < hi && key.(!mid) land bit = 0 do
+                incr mid
+              done;
+              let tested = pos_in_group.(B.level bdd n) = pos in
+              if lo < !mid then
+                walk (if tested then B.low bdd n else n) (pos + 1) lo !mid;
+              if !mid < hi then
+                walk (if tested then B.high bdd n else n) (pos + 1) !mid hi
+            end
+          in
+          if domain > 0 then walk entry 0 0 domain;
+          kids
+        in
         match team with
         | Some team when n >= par_layer_threshold && Par.domains team > 1 ->
             Obs.incr obs_par_layers;

@@ -7,7 +7,10 @@
     are processed bottom-up; each entry node of a layer (a node reached from
     a different layer, or the root) is mapped to an ROMDD node by
     "simulating", for every domain value, the codeword of that value through
-    the layer's binary nodes. *)
+    the layer's binary nodes. All codewords of an entry are simulated in one
+    descent over the layer's values sorted by codeword, so a node shared by
+    several codewords' paths is read once per range of values, not once
+    per value. *)
 
 type layout = {
   group_of_level : int array;
@@ -30,12 +33,12 @@ type layout = {
     then prunes them; the result is the same reduced diagram).
 
     With [?team], layers are processed layer-parallel: the per-entry
-    codeword simulations of each layer — independent given the already
+    descents of each layer — independent given the already
     processed deeper layers — are partitioned across the team's domains
     (the [Par.run] join is the per-level barrier), then the [Mdd.mk]
     calls run sequentially in a fixed order. The produced ROMDD — node
     ids included — is bit-identical to the teamless run: only the
-    simulation phase, which touches no shared mutable state, is
+    descent phase, which touches no shared mutable state, is
     distributed. Layers below an entry-count threshold stay on the
     caller.
 

@@ -52,6 +52,10 @@ let zero = 0
 let one = 1
 let is_terminal n = n < 2
 
+(* Int-typed minimum for the APPLY hot paths: without flambda,
+   [Stdlib.min] stays a call into the polymorphic compare. *)
+let imin (a : int) b = if a < b then a else b
+
 let create ?(cache_bits = 16) specs =
   Array.iter
     (fun s ->
@@ -199,7 +203,7 @@ let apply t op f g =
         end
         else begin
           t.apply_misses <- t.apply_misses + 1;
-          let lv = min t.levels.(a) t.levels.(b) in
+          let lv = imin t.levels.(a) t.levels.(b) in
           let domain = t.specs.(lv).domain in
           stack := { fa = a; fb = b; flv = lv; kid = Array.make domain 0; j = -1 } :: !stack
         end

@@ -476,6 +476,114 @@ let prop_compile_matches_interpreter =
           rexpr_eval env e = M.eval m root env)
         (List.init (1 lsl nvars_prop) Fun.id))
 
+(* Wide-gate circuits: each gate takes 2–17 operands drawn from the inputs
+   and the earlier gates (one operand for [Not]); the last gate is the
+   output. *)
+let wide_nvars = 7
+
+let wide_kinds = [| C.And; C.Or; C.Xor; C.Nand; C.Nor; C.Xnor; C.Not |]
+
+let gen_wide_circuit =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun ngates ->
+    let rec gates k acc =
+      if k = ngates then return (List.rev acc)
+      else
+        int_bound (Array.length wide_kinds - 1) >>= fun kind ->
+        (if wide_kinds.(kind) = C.Not then return 1 else int_range 2 17)
+        >>= fun fan_in ->
+        array_repeat fan_in (int_bound (wide_nvars + k - 1)) >>= fun args ->
+        gates (k + 1) ((kind, args) :: acc)
+    in
+    gates 0 [])
+
+let wide_print spec =
+  String.concat "; "
+    (List.map
+       (fun (kind, args) ->
+         Printf.sprintf "%s(%s)"
+           (C.gate_kind_name wide_kinds.(kind))
+           (String.concat "," (Array.to_list (Array.map string_of_int args))))
+       spec)
+
+(* Operand [j] is input [j] below [wide_nvars], else gate [j - wide_nvars]. *)
+let wide_circuit spec =
+  let b = C.builder ~num_inputs:wide_nvars () in
+  let nodes = ref (Array.init wide_nvars (C.input b)) in
+  List.iter
+    (fun (kind, args) ->
+      let g = C.gate b wide_kinds.(kind) (List.map (fun j -> !nodes.(j)) (Array.to_list args)) in
+      nodes := Array.append !nodes [| g |])
+    spec;
+  C.finish b ~name:"wide" !nodes.(Array.length !nodes - 1)
+
+(* The compiler before balanced reduction: a memoized walk that left-folds
+   every n-ary gate, threading ownership through the accumulator. Returns
+   an owned root and releases every intermediate. *)
+let left_fold_reference m circuit ~var_of_input =
+  let memo = Hashtbl.create 64 in
+  let rec go (n : C.node) =
+    match Hashtbl.find_opt memo n.C.id with
+    | Some h -> h
+    | None ->
+        let fold op args =
+          let hs = Array.map go args in
+          let acc = ref hs.(0) in
+          M.ref_ m !acc;
+          for i = 1 to Array.length hs - 1 do
+            let next = op m !acc hs.(i) in
+            M.deref m !acc;
+            acc := next
+          done;
+          !acc
+        in
+        let negate h =
+          let r = M.not_ m h in
+          M.deref m h;
+          r
+        in
+        let h =
+          match n.C.desc with
+          | C.Input i -> M.var m (var_of_input i)
+          | C.Const false -> M.zero
+          | C.Const true -> M.one
+          | C.Gate (C.And, args) -> fold M.and_ args
+          | C.Gate (C.Or, args) -> fold M.or_ args
+          | C.Gate (C.Xor, args) -> fold M.xor_ args
+          | C.Gate (C.Not, args) -> M.not_ m (go args.(0))
+          | C.Gate (C.Nand, args) -> negate (fold M.and_ args)
+          | C.Gate (C.Nor, args) -> negate (fold M.or_ args)
+          | C.Gate (C.Xnor, args) -> negate (fold M.xor_ args)
+        in
+        Hashtbl.add memo n.C.id h;
+        h
+  in
+  let root = go circuit.C.output in
+  M.ref_ m root;
+  Hashtbl.iter (fun _ h -> M.deref m h) memo;
+  root
+
+let prop_pairwise_matches_left_fold =
+  QCheck.Test.make
+    ~name:"balanced gate reduction = left fold, no intermediate leaks"
+    ~count:300
+    QCheck.(
+      pair
+        (make ~print:wide_print gen_wide_circuit)
+        (make ~print:Print.(list int) Gen.(shuffle_l (List.init wide_nvars Fun.id))))
+    (fun (spec, order) ->
+      let perm = Array.of_list order in
+      let var_of_input i = perm.(i) in
+      let circuit = wide_circuit spec in
+      let m = M.create ~num_vars:wide_nvars () in
+      let root, _ = Compile.of_circuit m circuit ~var_of_input in
+      let reference = left_fold_reference m circuit ~var_of_input in
+      let same = root = reference in
+      M.deref m root;
+      M.deref m reference;
+      M.check_invariants m;
+      same && M.alive m = 0)
+
 (* ------------------------------------------------------------------ *)
 (* Post-build walks against reference hash-table walks                 *)
 (* ------------------------------------------------------------------ *)
@@ -783,7 +891,8 @@ let () =
           Alcotest.test_case "releases intermediates" `Quick test_compile_releases_intermediates;
           Alcotest.test_case "constant output" `Quick test_compile_constant_output;
         ] );
-      qsuite "compile-props" [ prop_compile_matches_interpreter ];
+      qsuite "compile-props"
+        [ prop_compile_matches_interpreter; prop_pairwise_matches_left_fold ];
       qsuite "walk-props" [ prop_walks_match_reference ];
       ( "cutsets",
         [

@@ -100,6 +100,33 @@ let test_gate_peak_step () =
   Alcotest.(check (list string)) "small peak still gated" [ "peak_nodes" ]
     (failed_fields tiny)
 
+let test_gate_size_identity () =
+  let base = [ ("robdd_size", Json.Int 979381); ("romdd_size", Json.Int 103228) ] in
+  let same = Gates.check_pair ~gates ~label:"r" ~base ~fresh:base in
+  Alcotest.(check int) "identical sizes pass" 0 (List.length (failures same));
+  (* Canonical diagrams: one node either way is a different function, and
+     shrinking fails as surely as growing. *)
+  let smaller =
+    Gates.check_pair ~gates ~label:"r" ~base
+      ~fresh:[ ("robdd_size", Json.Int 979380); ("romdd_size", Json.Int 103228) ]
+  in
+  Alcotest.(check (list string)) "one node fewer fails" [ "robdd_size" ]
+    (failed_fields smaller);
+  let larger =
+    Gates.check_pair ~gates ~label:"r" ~base
+      ~fresh:[ ("robdd_size", Json.Int 979381); ("romdd_size", Json.Int 103229) ]
+  in
+  Alcotest.(check (list string)) "one node more fails" [ "romdd_size" ]
+    (failed_fields larger);
+  Alcotest.(check (list string))
+    "failing gate is size-identity" [ "size-identity" ]
+    (List.map (fun o -> o.Gates.gate.Gates.g_name) (failures larger));
+  let missing =
+    Gates.check_pair ~gates ~label:"r" ~base ~fresh:[ ("robdd_size", Json.Int 979381) ]
+  in
+  Alcotest.(check (list string))
+    "size missing from fresh fails" [ "romdd_size" ] (failed_fields missing)
+
 let test_gate_fresh_only () =
   let drift =
     Gates.check_fresh ~gates ~label:"r"
@@ -554,6 +581,7 @@ let () =
           Alcotest.test_case "yield drift" `Quick test_gate_yield_drift;
           Alcotest.test_case "seconds step" `Quick test_gate_seconds_step;
           Alcotest.test_case "peak step" `Quick test_gate_peak_step;
+          Alcotest.test_case "size identity" `Quick test_gate_size_identity;
           Alcotest.test_case "fresh-only" `Quick test_gate_fresh_only;
           Alcotest.test_case "row presence" `Quick test_gate_docs_row_presence;
         ] );

@@ -343,6 +343,172 @@ let prop_conversion_equals_direct =
       let direct = mexpr_mdd mdd e in
       converted = direct)
 
+(* ------------------------------------------------------------------ *)
+(* One-descent conversion vs per-codeword simulation                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The conversion as it was before the one-descent walk, kept as the
+   reference: the same entry scan (explicit-stack DFS, low edge before
+   high, first occurrence of each entry kept), then every codeword
+   simulated from the entry on its own, and [Mdd.mk] in entry order. *)
+let reference_conversion bdd root mdd (layout : Conversion.layout) =
+  let num_groups = Array.length layout.Conversion.levels_of_group in
+  let group_of n = layout.Conversion.group_of_level.(B.level bdd n) in
+  let pos_in_group = Array.make (B.num_vars bdd) (-1) in
+  Array.iter
+    (Array.iteri (fun i lv -> pos_in_group.(lv) <- i))
+    layout.Conversion.levels_of_group;
+  let entries = Array.make num_groups [] in
+  let mark n = entries.(group_of n) <- n :: entries.(group_of n) in
+  let seen = Hashtbl.create 64 in
+  let stack = ref [] in
+  let visit n =
+    if not (Hashtbl.mem seen n) then begin
+      Hashtbl.add seen n ();
+      if not (B.is_terminal n) then stack := n :: !stack
+    end
+  in
+  if not (B.is_terminal root) then mark root;
+  visit root;
+  while !stack <> [] do
+    let n = List.hd !stack in
+    stack := List.tl !stack;
+    let g = group_of n in
+    List.iter
+      (fun c ->
+        if (not (B.is_terminal c)) && group_of c <> g then mark c;
+        visit c)
+      [ B.low bdd n; B.high bdd n ]
+  done;
+  let kept = Hashtbl.create 64 in
+  let entries =
+    Array.map
+      (List.filter (fun n ->
+           (not (Hashtbl.mem kept n))
+           && (Hashtbl.add kept n ();
+               true)))
+      entries
+  in
+  let mapping = Hashtbl.create 64 in
+  Hashtbl.add mapping B.zero Mdd.zero;
+  Hashtbl.add mapping B.one Mdd.one;
+  for g = num_groups - 1 downto 0 do
+    let codes = Array.init (Mdd.spec mdd g).Mdd.domain (layout.Conversion.codeword g) in
+    let rec follow bits n =
+      if B.is_terminal n || group_of n <> g then Hashtbl.find mapping n
+      else
+        follow bits
+          (if bits.(pos_in_group.(B.level bdd n)) then B.high bdd n
+           else B.low bdd n)
+    in
+    List.iter
+      (fun e ->
+        Hashtbl.replace mapping e
+          (Mdd.mk mdd g (Array.map (fun bits -> follow bits e) codes)))
+      entries.(g)
+  done;
+  Hashtbl.find mapping root
+
+(* Same node ids: both managers hold the same nodes, id for id. *)
+let same_node_table a b =
+  Mdd.total_nodes a = Mdd.total_nodes b
+  && List.for_all
+       (fun n ->
+         Mdd.level a n = Mdd.level b n && Mdd.children a n = Mdd.children b n)
+       (List.init (Mdd.total_nodes a - 2) (fun i -> i + 2))
+
+let fresh_like mdd =
+  Mdd.create ~cache_bits:4 (Array.init (Mdd.num_mvars mdd) (Mdd.spec mdd))
+
+let prop_conversion_equals_reference =
+  QCheck.Test.make
+    ~name:"one-descent conversion = per-codeword reference (same ids)"
+    ~count:300 arb_mexpr
+    (fun e ->
+      let bdd = B.create ~num_vars:5 () in
+      let root_bdd = mexpr_bdd bdd e in
+      let mdd = Mdd.create specs_for_props in
+      let root = Conversion.run bdd root_bdd mdd the_layout in
+      let ref_mdd = fresh_like mdd in
+      let ref_root = reference_conversion bdd root_bdd ref_mdd the_layout in
+      root = ref_root && same_node_table mdd ref_mdd)
+
+(* A 5-valued group on 3 bits (codes 000 … 100) above a 2-valued group.
+   The BDD tests only the group's last bit at the top and its middle bit
+   below, so every walk crosses skipped bits, and the unused codes 101 …
+   111 must not leak into the result. *)
+let test_conversion_skipped_bits () =
+  let bdd = B.create ~num_vars:4 () in
+  let b1 = B.var bdd 1 and b2 = B.var bdd 2 and y = B.var bdd 3 in
+  let f = B.or_ bdd (B.and_ bdd b2 y) (B.and_ bdd (B.not_ bdd b2) b1) in
+  let layout =
+    {
+      Conversion.group_of_level = [| 0; 0; 0; 1 |];
+      levels_of_group = [| [| 0; 1; 2 |]; [| 3 |] |];
+      codeword =
+        (fun g v ->
+          if g = 0 then Array.init 3 (fun bit -> v land (1 lsl (2 - bit)) <> 0)
+          else [| v = 1 |]);
+    }
+  in
+  let specs = [| spec "x" 5; spec "y" 2 |] in
+  let mdd = Mdd.create specs and ref_mdd = Mdd.create specs in
+  let root = Conversion.run bdd f mdd layout in
+  let ref_root = reference_conversion bdd f ref_mdd layout in
+  Alcotest.(check int) "same root id" ref_root root;
+  Alcotest.(check bool) "same node table" true (same_node_table mdd ref_mdd);
+  (* x's codes: 0=000 1=001 2=010 3=011 4=100; f = x.lsb·y + ¬x.lsb·x.mid *)
+  let expect x yv =
+    let lsb = x land 1 = 1 and mid = x land 2 = 2 in
+    (lsb && yv = 1) || ((not lsb) && mid)
+  in
+  for x = 0 to 4 do
+    for yv = 0 to 1 do
+      Alcotest.(check bool)
+        (Printf.sprintf "x=%d y=%d" x yv)
+        (expect x yv)
+        (Mdd.eval mdd root (fun v -> if v = 0 then x else yv))
+    done
+  done
+
+(* Real layouts: MS2 under every bit order of the paper, each paired with
+   its multiple-valued order where the pairing is forced. *)
+let test_conversion_bit_orders () =
+  let module P = Socy_core.Pipeline in
+  let module Scheme = Socy_order.Scheme in
+  let module H = Socy_order.Heuristics in
+  let module S = Socy_benchmarks.Suite in
+  let row = List.find (fun r -> S.row_label r = "MS2, l'=1") (S.table_rows ()) in
+  List.iter
+    (fun (mv, bits) ->
+      let config = P.Config.make ~mv_order:mv ~bit_order:bits () in
+      match P.Artifacts.build ~config row.S.instance.S.circuit (S.lethal row) with
+      | Error f -> Alcotest.fail (P.failure_to_string f)
+      | Ok a ->
+          let name = Scheme.bit_order_name bits in
+          let layout = P.layout_of_scheme a.P.Artifacts.problem a.P.Artifacts.scheme in
+          let ref_mdd = fresh_like a.P.Artifacts.mdd in
+          let ref_root =
+            reference_conversion a.P.Artifacts.bdd a.P.Artifacts.bdd_root ref_mdd
+              layout
+          in
+          Alcotest.(check int) (name ^ ": same root id") ref_root a.P.Artifacts.mdd_root;
+          Alcotest.(check int)
+            (name ^ ": same size")
+            (Mdd.size ref_mdd ref_root)
+            (Mdd.size a.P.Artifacts.mdd a.P.Artifacts.mdd_root);
+          Alcotest.(check bool)
+            (name ^ ": same node table")
+            true
+            (same_node_table a.P.Artifacts.mdd ref_mdd))
+    [
+      (Scheme.Heur H.Weight, Scheme.Ml);
+      (Scheme.Heur H.Weight, Scheme.Lm);
+      (Scheme.Heur H.Topology, Scheme.Heur_bits H.Topology);
+      (Scheme.Heur H.Weight, Scheme.Heur_bits H.Weight);
+      (Scheme.Heur H.H4, Scheme.Heur_bits H.H4);
+    ]
+
 let prop_conversion_semantics =
   QCheck.Test.make ~name:"converted ROMDD evaluates like the expression" ~count:300
     arb_mexpr
@@ -696,10 +862,15 @@ let () =
           Alcotest.test_case "invalid codes unreachable" `Quick
             test_conversion_invalid_code_unreachable;
           Alcotest.test_case "terminal root" `Quick test_conversion_terminal_root;
+          Alcotest.test_case "skipped bits = reference" `Quick
+            test_conversion_skipped_bits;
+          Alcotest.test_case "five bit orders = reference" `Quick
+            test_conversion_bit_orders;
         ] );
       qsuite "props"
         [
           prop_conversion_equals_direct;
+          prop_conversion_equals_reference;
           prop_conversion_semantics;
           prop_probability_sums_to_one_partition;
         ];
